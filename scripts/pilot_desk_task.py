@@ -13,10 +13,15 @@ are what the end-to-end acceptance test pins as floors.
 
 Stage 3 (--compare) runs the pinned four-way comparison: every loss,
 batch 50, learning rate 3e-4, 20 iterations, against the untrained
-initialization. At this early-training budget all four methods improve
-on the untrained metrics for the pinned data seed; with longer budgets
-the pairwise baselines fall below the initialization again because
-nothing transfers between disjoint sets of isotropic Gaussian classes.
+initialization. It prints one NMI / Recall@K table (values scaled by
+100): a row for the raw input features, then per loss a row for the
+untrained network and one for the trained network. At this
+early-training budget all four methods improve on their untrained
+metrics for the pinned data seed; with longer budgets the pairwise
+baselines fall below the initialization again because nothing transfers
+between disjoint sets of isotropic Gaussian classes. These are
+desk-scale synthetic-task numbers, not comparable to any published
+real-dataset table.
 
 Usage: python3 scripts/pilot_desk_task.py [--sweep] [--train] [--compare]
        (no flags runs all three stages)
@@ -24,15 +29,18 @@ Usage: python3 scripts/pilot_desk_task.py [--sweep] [--train] [--compare]
 
 import argparse
 import time
+from dataclasses import replace
 
-import numpy as np
-
+from clusterembed.cli import print_metric_table
 from clusterembed.data import generate_gaussian, split_by_class
-from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
-from clusterembed.inference import greedy_inference, pam_refine
-from clusterembed.metrics import nmi, recall_at_k
-from clusterembed.mlp import init_params
-from clusterembed.train import TrainConfig, evaluate_model, heldout_rows, train
+from clusterembed.embedding_ops import EmbeddingBatch
+from clusterembed.train import (
+    TrainConfig,
+    evaluate_embeddings,
+    evaluate_model,
+    heldout_rows,
+    train,
+)
 
 NUM_CLASSES = 10
 POINTS = 50
@@ -46,20 +54,16 @@ def make_dataset(std: float = PINNED_STD):
                              cluster_std=std, seed=DATA_SEED)
 
 
-def untrained_metrics(config: TrainConfig, dataset, test_classes):
-    rng = np.random.default_rng(config.seed)
-    dims = [DIM, *config.hidden_dims, config.embedding_dim]
-    init = init_params(dims, config.normalize_embeddings, rng)
-    return evaluate_model(init, dataset, test_classes, (1,))
+def untrained(config: TrainConfig, dataset, test_classes):
+    """Held-out metrics of the network ``train`` initializes for config."""
+    params, _ = train(replace(config, max_iterations=0), dataset)
+    return evaluate_model(params, dataset, test_classes, config.recall_ks)
 
 
-def raw_feature_metrics(dataset, test_classes):
+def raw(dataset, test_classes, recall_ks):
+    """Held-out metrics of the unembedded input features."""
     feats, labels = heldout_rows(dataset, test_classes)
-    batch = EmbeddingBatch(feats)
-    dist = pairwise_distances(batch)
-    seed_result = greedy_inference(dist, labels, gamma=0.0)
-    refined = pam_refine(dist, labels, seed_result.medoids, gamma=0.0, max_sweeps=5)
-    return nmi(refined.assignment, labels), recall_at_k(batch, labels, 1)
+    return evaluate_embeddings(EmbeddingBatch(feats), labels, recall_ks)
 
 
 def sweep():
@@ -67,8 +71,8 @@ def sweep():
     for std in (4.0, 5.0, 6.0, 7.0, 8.0):
         dataset = make_dataset(std)
         split = split_by_class(dataset, 0.5, 0)
-        score, r1 = raw_feature_metrics(dataset, split.test_classes)
-        print(f"  std={std:<4} raw NMI {score:.3f}  raw R@1 {r1:.3f}")
+        score, recalls = raw(dataset, split.test_classes, (1,))
+        print(f"  std={std:<4} raw NMI {score:.3f}  raw R@1 {recalls[1]:.3f}")
 
 
 def train_stage():
@@ -77,7 +81,7 @@ def train_stage():
                          loss_kind="cluster", max_iterations=300,
                          eval_interval=300, recall_ks=(1,), seed=0)
     split = split_by_class(dataset, config.train_fraction, config.seed)
-    base_nmi, base_recalls = untrained_metrics(config, dataset, split.test_classes)
+    base_nmi, base_recalls = untrained(config, dataset, split.test_classes)
     print(f"untrained init: NMI {base_nmi:.4f}  R@1 {base_recalls[1]:.4f}")
     tic = time.perf_counter()
     _, records = train(config, dataset)
@@ -89,17 +93,19 @@ def train_stage():
 
 def compare_stage():
     dataset = make_dataset()
-    print("four-way comparison (batch 50, lr 3e-4, 20 iterations):")
+    recall_ks = (1, 2, 4, 8)
+    base = TrainConfig(batch_size=50, class_ratio=0.1, learning_rate=3e-4,
+                       max_iterations=20, eval_interval=20, recall_ks=recall_ks, seed=0)
+    split = split_by_class(dataset, base.train_fraction, base.seed)
+    print(f"four-way comparison (batch 50, lr 3e-4): raw input features, then each loss "
+          f"untrained (-0) and after {base.max_iterations} iterations (-{base.max_iterations})")
+    rows = [("raw", *raw(dataset, split.test_classes, recall_ks))]
     for kind in ("cluster", "triplet", "lifted", "npairs"):
-        config = TrainConfig(batch_size=50, class_ratio=0.1, learning_rate=3e-4,
-                             loss_kind=kind, max_iterations=20,
-                             eval_interval=20, recall_ks=(1,), seed=0)
-        split = split_by_class(dataset, config.train_fraction, config.seed)
-        base_nmi, base_recalls = untrained_metrics(config, dataset, split.test_classes)
+        config = replace(base, loss_kind=kind)
+        rows.append((f"{kind}-0", *untrained(config, dataset, split.test_classes)))
         _, records = train(config, dataset)
-        final = records[-1]
-        print(f"  {kind:<8} init NMI {base_nmi:.4f} R@1 {base_recalls[1]:.4f}"
-              f"  ->  NMI {final.nmi:.4f} R@1 {final.recall_at[1]:.4f}")
+        rows.append((f"{kind}-{config.max_iterations}", records[-1].nmi, records[-1].recall_at))
+    print_metric_table(rows, recall_ks)
 
 
 def main() -> None:

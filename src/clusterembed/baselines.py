@@ -33,8 +33,9 @@ from .errors import DegenerateRowError, InvalidInputError
 def positive_pairs(y: np.ndarray) -> list[tuple[int, int]]:
     """Ordered same-label pairs (i, j), i != j, in row-major order."""
     y = np.asarray(y)
-    m = y.shape[0]
-    return [(i, j) for i in range(m) for j in range(m) if i != j and y[i] == y[j]]
+    same = y[:, None] == y[None, :]
+    np.fill_diagonal(same, False)
+    return list(map(tuple, np.argwhere(same).tolist()))
 
 
 def _negatives(y: np.ndarray) -> list[np.ndarray]:

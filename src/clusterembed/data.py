@@ -135,6 +135,9 @@ def load_csv(path: str | Path) -> Dataset:
             raise CsvParseError(lineno, "non-numeric feature value") from None
         labels.append(label)
     features = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim))
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise CsvParseError(int(np.argmin(finite)) + 2, "non-finite feature value")
     return Dataset(features=features, labels=np.array(labels, dtype=np.intp))
 
 

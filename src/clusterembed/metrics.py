@@ -19,24 +19,13 @@ def contingency_table(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return np.bincount(flat, minlength=c1 * c2).reshape(c1, c2)
 
 
-def _canonical_partition(y: np.ndarray) -> np.ndarray:
-    """Relabel by order of first appearance; equal arrays <=> equal partitions."""
-    _, canon = np.unique(y, return_inverse=True)
-    first_seen = {}
-    out = np.empty(len(y), dtype=np.intp)
-    next_id = 0
-    for i, v in enumerate(canon):
-        v = int(v)
-        if v not in first_seen:
-            first_seen[v] = next_id
-            next_id += 1
-        out[i] = first_seen[v]
-    return out
-
-
 def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
-    """True when the two label vectors induce the same partition of indices."""
-    return bool(np.array_equal(_canonical_partition(np.asarray(y1)), _canonical_partition(np.asarray(y2))))
+    """True when the two label vectors induce the same partition of indices:
+    every nonempty row and every nonempty column of the contingency table
+    holds exactly one nonzero cell."""
+    table = contingency_table(y1, y2)
+    cells = np.count_nonzero(table)
+    return cells == np.count_nonzero(table.any(axis=1)) == np.count_nonzero(table.any(axis=0))
 
 
 def _entropy(counts: np.ndarray, m: int) -> float:
@@ -91,9 +80,7 @@ def recall_at_k(batch: EmbeddingBatch, labels: np.ndarray, k: int) -> float:
         raise InvalidInputError(f"k must be in [1, {m}), got {k}")
     dist = pairwise_distances(batch)
     np.fill_diagonal(dist, np.inf)
-    hits = 0
-    for i in range(m):
-        # stable sort keeps ties in index order
-        neighbors = np.argsort(dist[i], kind="stable")[:k]
-        hits += bool(np.any(labels[neighbors] == labels[i]))
-    return hits / m
+    # stable sort keeps ties in index order
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    hits = np.any(labels[neighbors] == labels[:, None], axis=1)
+    return int(np.count_nonzero(hits)) / m

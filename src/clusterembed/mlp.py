@@ -170,6 +170,8 @@ def load_checkpoint(path: str | Path) -> MlpParams:
                 d_out, d_in = int(parts[1]), int(parts[2])
             except ValueError:
                 raise InvalidInputError(f"{path} line {pos + 1}: non-integer layer dims") from None
+            if d_out < 1 or d_in < 1:
+                raise InvalidInputError(f"{path} line {pos + 1}: layer dims must be at least 1")
             rows = []
             for r in range(d_out):
                 pos += 1
@@ -188,6 +190,8 @@ def load_checkpoint(path: str | Path) -> MlpParams:
             layers.append((block[:, :-1], block[:, -1]))
             pos += 1
         elif line.startswith("normalize "):
+            if final_normalize is not None:
+                raise InvalidInputError(f"{path} line {pos + 1}: second normalize line")
             flag = line.split()[-1]
             if flag not in ("0", "1"):
                 raise InvalidInputError(f"{path} line {pos + 1}: normalize flag must be 0 or 1")

@@ -142,6 +142,22 @@ def heldout_rows(dataset: Dataset, class_ids: Sequence[int]) -> tuple[np.ndarray
     return np.concatenate(feats, axis=0), np.concatenate(labels)
 
 
+def evaluate_embeddings(
+    batch: EmbeddingBatch,
+    labels: np.ndarray,
+    recall_ks: Sequence[int],
+    refine_sweeps: int = 5,
+) -> tuple[float, dict[int, float]]:
+    """NMI of facility-location clustering at gamma = 0 (greedy, then swap
+    refinement) against the labels, and Recall@K for each K."""
+    dist = pairwise_distances(batch)
+    seed_result = greedy_inference(dist, labels, gamma=0.0)
+    refined = pam_refine(dist, labels, seed_result.medoids, gamma=0.0, max_sweeps=refine_sweeps)
+    score = nmi(refined.assignment, labels)
+    recalls = {int(k): recall_at_k(batch, labels, int(k)) for k in recall_ks}
+    return score, recalls
+
+
 def evaluate_model(
     params: MlpParams,
     dataset: Dataset,
@@ -149,15 +165,10 @@ def evaluate_model(
     recall_ks: Sequence[int],
     refine_sweeps: int = 5,
 ) -> tuple[float, dict[int, float]]:
-    """Held-out NMI (facility-location clustering at gamma = 0) and Recall@K."""
+    """Held-out NMI and Recall@K of the model's embeddings of the classes."""
     feats, y_true = heldout_rows(dataset, class_ids)
     batch, _ = forward(params, feats)
-    dist = pairwise_distances(batch)
-    seed_result = greedy_inference(dist, y_true, gamma=0.0)
-    refined = pam_refine(dist, y_true, seed_result.medoids, gamma=0.0, max_sweeps=refine_sweeps)
-    score = nmi(refined.assignment, y_true)
-    recalls = {int(k): recall_at_k(batch, y_true, int(k)) for k in recall_ks}
-    return score, recalls
+    return evaluate_embeddings(batch, y_true, recall_ks, refine_sweeps)
 
 
 def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpParams, list[TrainRecord]]:

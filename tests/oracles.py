@@ -73,6 +73,17 @@ def nmi_oracle(y1: np.ndarray, y2: np.ndarray) -> float:
     return mi / np.sqrt(h1 * h2)
 
 
+def canonical_partition(y: np.ndarray) -> np.ndarray:
+    """Relabel by order of first appearance; equal arrays <=> equal partitions."""
+    first_seen = {}
+    out = np.empty(len(y), dtype=np.intp)
+    for i, v in enumerate(np.asarray(y).tolist()):
+        if v not in first_seen:
+            first_seen[v] = len(first_seen)
+        out[i] = first_seen[v]
+    return out
+
+
 def recall_at_k_oracle(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
     m = emb.shape[0]
     dist = dist_oracle(emb)

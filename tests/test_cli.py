@@ -153,6 +153,25 @@ def test_evaluate_dimension_mismatch_fails_cleanly(tmp_path, data_csv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", ["non-finite feature", "empty layer"])
+def test_evaluate_bad_input_file_fails_cleanly(tmp_path, data_csv, capsys, fault):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params([3, 4, 2], False, np.random.default_rng(0)), ckpt)
+    if fault == "non-finite feature":
+        rows = data_csv.read_text().splitlines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",nan"
+        data_csv.write_text("\n".join(rows) + "\n")
+    else:
+        ckpt.write_text("mlp-checkpoint v1\nlayer 0 3\nnormalize 0\n")
+    code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data_csv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "line" in err
+    assert "Traceback" not in err
+
+
 def test_missing_data_file_fails_cleanly(tmp_path, capsys):
     code = main(
         ["train", "--data", str(tmp_path / "absent.csv"),

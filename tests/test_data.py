@@ -84,6 +84,10 @@ def test_csv_parse_errors_name_lines(tmp_path):
     path.write_text("label,f0,f1\n-1,1.0,2.0\n")
     with pytest.raises(CsvParseError, match="line 2"):
         load_csv(path)
+    for value in ("nan", "inf", "-inf", "1e999"):
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{value}\n")
+        with pytest.raises(CsvParseError, match="line 3"):
+            load_csv(path)
     path.write_text("id,f0,f1\n")
     with pytest.raises(CsvParseError, match="line 1"):
         load_csv(path)

@@ -7,7 +7,7 @@ from clusterembed.embedding_ops import EmbeddingBatch
 from clusterembed.errors import InvalidInputError
 from clusterembed.metrics import contingency_table, margin, nmi, recall_at_k, same_partition
 
-from oracles import nmi_oracle, recall_at_k_oracle
+from oracles import canonical_partition, nmi_oracle, recall_at_k_oracle
 
 label_pairs = st.integers(2, 30).flatmap(
     lambda m: st.tuples(
@@ -36,6 +36,37 @@ def test_same_partition():
     assert same_partition([0, 0, 1, 1], [1, 1, 0, 0])
     assert same_partition([0, 1, 2], [5, 3, 9])
     assert not same_partition([0, 0, 1, 1], [0, 1, 0, 1])
+
+
+def relabeled(pair):
+    """The pair as drawn, or the first vector with a relabelled copy of
+    itself: ids pushed through a random injection (an equal partition) or
+    through a map onto 0..3 (a coarser one), on either side."""
+    y = pair[0]
+    copies = st.one_of(
+        st.permutations(range(51)),
+        st.lists(st.integers(0, 3), min_size=51, max_size=51),
+    ).map(lambda ids: [ids[v] for v in y])
+    swapped = st.tuples(copies, st.booleans()).map(
+        lambda drawn: (drawn[0], y) if drawn[1] else (y, drawn[0])
+    )
+    return st.one_of(st.just(pair), swapped)
+
+
+gapped_label_pairs = st.integers(1, 30).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.integers(0, 50), min_size=m, max_size=m),
+        st.lists(st.integers(0, 50), min_size=m, max_size=m),
+    )
+).flatmap(relabeled)
+
+
+@settings(deadline=None, max_examples=300)
+@given(gapped_label_pairs)
+def test_same_partition_matches_first_appearance_oracle(pair):
+    y1, y2 = np.array(pair[0]), np.array(pair[1])
+    expected = np.array_equal(canonical_partition(y1), canonical_partition(y2))
+    assert same_partition(y1, y2) == expected
 
 
 def test_nmi_identity_is_exactly_one():
@@ -130,6 +161,7 @@ def test_recall_at_k_matches_oracle():
         labels = rng.integers(0, 3, size=m)
         for k in (1, 2, m - 1):
             got = recall_at_k(EmbeddingBatch(emb), labels, k)
+            assert type(got) is float
             assert got == pytest.approx(recall_at_k_oracle(emb, labels, k), abs=0)
 
 

@@ -184,3 +184,14 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     no_normalize.write_text("\n".join(l for l in lines if not l.startswith("normalize")) + "\n")
     with pytest.raises(InvalidInputError):
         load_checkpoint(no_normalize)
+    header = lines[0]
+    for dims in ("0 3", "2 0", "-1 3"):
+        empty_layer = tmp_path / "e.ckpt"
+        empty_layer.write_text(f"{header}\nlayer {dims}\nnormalize 0\n")
+        with pytest.raises(InvalidInputError, match="line 2"):
+            load_checkpoint(empty_layer)
+
+    second_normalize = tmp_path / "f.ckpt"
+    second_normalize.write_text("\n".join([*lines, "normalize 1"]) + "\n")
+    with pytest.raises(InvalidInputError, match=f"line {len(lines) + 1}"):
+        load_checkpoint(second_normalize)
