@@ -68,8 +68,10 @@ def int_list(text: str) -> tuple[int, ...]:
         values = tuple(int(v) for v in text.split(",") if v)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
     return values
 
 

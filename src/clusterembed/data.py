@@ -151,6 +151,10 @@ def split_by_class(dataset: Dataset, fraction: float, seed: int) -> SplitSpec:
     order = np.random.default_rng(seed).permutation(len(classes))
     shuffled = [classes[i] for i in order]
     cut = int(np.ceil(fraction * len(classes)))
+    if cut == len(classes):
+        raise InvalidInputError(
+            f"train fraction {fraction} leaves none of the {len(classes)} classes held out"
+        )
     return SplitSpec(train_classes=tuple(shuffled[:cut]), test_classes=tuple(shuffled[cut:]))
 
 

@@ -86,24 +86,13 @@ def l2_normalize_rows(batch: EmbeddingBatch) -> EmbeddingBatch:
     return EmbeddingBatch(batch.data / norms[:, None], normalized=True)
 
 
-def l2_normalize_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product of ``x -> x / ||x||``.
-
-    Returns J^T u with J = (I - u u^T) / ||x||, u = x / ||x||: the radial
-    component of ``upstream`` is annihilated, the tangent part is scaled by
-    1 / ||x||.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm <= ZERO_NORM_TOL:
-        raise DegenerateRowError(f"cannot differentiate normalization at norm {norm:.3e}")
-    u = x / norm
-    return (upstream - u * float(u @ upstream)) / norm
-
-
 def l2_normalize_rows_backward(x_rows: np.ndarray, upstream_rows: np.ndarray) -> np.ndarray:
-    """Row-batched form of :func:`l2_normalize_backward` for the model backward pass."""
+    """Vector-Jacobian product of row normalization ``x -> x / ||x||``.
+
+    Each row returns J^T u with J = (I - u u^T) / ||x||, u = x / ||x||: the
+    radial component of the upstream row is annihilated and the tangent part
+    is scaled by 1 / ||x||.
+    """
     norms = np.linalg.norm(x_rows, axis=1)
     if np.any(norms <= ZERO_NORM_TOL):
         bad = int(np.argmax(norms <= ZERO_NORM_TOL))

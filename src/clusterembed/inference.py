@@ -63,6 +63,37 @@ def augmented_objective(
     return score
 
 
+def _swap_scores(
+    dist: np.ndarray,
+    y_star: np.ndarray,
+    gamma: float,
+    medoids: list[int],
+    pos: int,
+    cands: np.ndarray,
+    facility: np.ndarray | None = None,
+) -> np.ndarray:
+    """A(S) for each medoid set S that puts one of ``cands`` at position
+    ``pos`` of ``medoids`` (``pos == len(medoids)`` appends it).
+
+    Labels follow ``assign``: nearest medoid, ties to the smallest position.
+    ``facility`` replaces the exact facility part, one value per candidate.
+    """
+    others = medoids[:pos] + medoids[pos + 1 :]
+    cand_dist = dist[:, cands]
+    other_min = dist[:, others].min(axis=1, initial=np.inf)[:, None]
+    if facility is None:
+        facility = -np.minimum(other_min, cand_dist).sum(axis=0)
+    if gamma == 0.0:
+        return facility
+    nearest = np.argmin(dist[:, others], axis=1) if others else np.zeros(len(dist), np.intp)
+    # a candidate takes a point when strictly closer than the other medoids,
+    # or as close as the nearest of them and earlier in position order
+    other_pos = (nearest + (nearest >= pos))[:, None]
+    takes = (cand_dist < other_min) | ((cand_dist == other_min) & (pos < other_pos))
+    margins = [margin(labels, y_star) for labels in np.where(takes, pos, other_pos).T]
+    return facility + gamma * np.array(margins)
+
+
 def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
     """Build a medoid set of size |classes| by repeatedly adding the point
     with the best marginal benefit A(S + {i}) - A(S).
@@ -79,34 +110,17 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
 
     chosen: list[int] = []
     trace: list[float] = []
-    in_set = np.zeros(m, dtype=bool)
-    # per-point distance to, and position of, the nearest chosen medoid
-    best_dist = np.full(m, np.inf)
-    best_pos = np.zeros(m, dtype=np.intp)
-
     for step in range(num_classes):
-        cands = np.flatnonzero(~in_set)
-        # facility part of A(S + {i}) for every candidate at once
-        new_dist = np.minimum(best_dist[:, None], dist[:, cands])
-        scores = -new_dist.sum(axis=0)
-        if gamma != 0.0:
-            for idx, cand in enumerate(cands):
-                closer = dist[:, cand] < best_dist
-                cand_assign = np.where(closer, step, best_pos)
-                scores[idx] += gamma * margin(cand_assign, y_star)
+        cands = np.delete(np.arange(m), chosen)
+        scores = _swap_scores(dist, y_star, gamma, chosen, step, cands)
         best = int(np.argmax(scores))
-        pick = int(cands[best])
-        chosen.append(pick)
-        in_set[pick] = True
-        closer = dist[:, pick] < best_dist
-        best_pos = np.where(closer, step, best_pos)
-        best_dist = np.minimum(best_dist, dist[:, pick])
+        chosen.append(int(cands[best]))
         trace.append(float(scores[best]))
 
     medoids = tuple(chosen)
     return InferenceResult(
         medoids=medoids,
-        assignment=best_pos.copy(),
+        assignment=assign(dist, medoids),
         objective=augmented_objective(dist, medoids, y_star, gamma),
         trace=trace,
     )
@@ -175,25 +189,13 @@ def pam_refine(
         for k in range(num_classes):
             members = np.flatnonzero(labels == k)
             cands = members if candidate_pool == "cluster" else np.arange(m)
-            other_medoids = set(medoids) - {medoids[k]}
-            cands = cands[~np.isin(cands, list(other_medoids))]
+            cands = cands[~np.isin(cands, medoids[:k] + medoids[k + 1 :])]
             if cands.size == 0:
                 continue
+            surrogate = None
             if candidate_pool == "cluster":
-                scores = -dist[np.ix_(members, cands)].sum(axis=0)
-            else:
-                # full facility score of each swapped set: nearest of the
-                # other medoids, capped by the candidate column
-                others = [medoids[p] for p in range(num_classes) if p != k]
-                other_min = (
-                    dist[:, others].min(axis=1) if others else np.full(m, np.inf)
-                )
-                scores = -np.minimum(other_min[:, None], dist[:, cands]).sum(axis=0)
-            if gamma != 0.0:
-                trial = list(medoids)
-                for idx, cand in enumerate(cands):
-                    trial[k] = int(cand)
-                    scores[idx] += gamma * margin(assign(dist, trial), y_star)
+                surrogate = -dist[np.ix_(members, cands)].sum(axis=0)
+            scores = _swap_scores(dist, y_star, gamma, medoids, k, cands, surrogate)
             pick = int(cands[int(np.argmax(scores))])
             if pick != medoids[k]:
                 medoids[k] = pick
@@ -227,16 +229,12 @@ def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) ->
         raise InstanceTooLargeError(
             f"C({m}, {num_classes}) subsets exceed the {BRUTE_FORCE_CAP} enumeration cap"
         )
-    best_set: tuple[int, ...] | None = None
-    best_score = -np.inf
-    for subset in combinations(range(m), num_classes):
-        score = -float(np.min(dist[:, subset], axis=1).sum())
-        if gamma != 0.0:
-            score += gamma * margin(np.argmin(dist[:, subset], axis=1), y_star)
-        if score > best_score:
-            best_score = score
-            best_set = subset
-    assert best_set is not None
+    # max keeps the first of equal scores
+    best_set = max(
+        combinations(range(m), num_classes),
+        key=lambda subset: augmented_objective(dist, subset, y_star, gamma),
+    )
+    best_score = augmented_objective(dist, best_set, y_star, gamma)
     return InferenceResult(
         medoids=best_set,
         assignment=assign(dist, best_set),

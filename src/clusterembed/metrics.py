@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .embedding_ops import EmbeddingBatch, pairwise_distances
@@ -19,13 +21,16 @@ def contingency_table(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return np.bincount(flat, minlength=c1 * c2).reshape(c1, c2)
 
 
-def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
-    """True when the two label vectors induce the same partition of indices:
-    every nonempty row and every nonempty column of the contingency table
-    holds exactly one nonzero cell."""
-    table = contingency_table(y1, y2)
+def _one_to_one(table: np.ndarray) -> bool:
+    """True when every nonempty row and every nonempty column of the
+    contingency table holds exactly one nonzero cell."""
     cells = np.count_nonzero(table)
     return cells == np.count_nonzero(table.any(axis=1)) == np.count_nonzero(table.any(axis=0))
+
+
+def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
+    """True when the two label vectors induce the same partition of indices."""
+    return _one_to_one(contingency_table(y1, y2))
 
 
 def _entropy(counts: np.ndarray, m: int) -> float:
@@ -48,10 +53,10 @@ def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
         raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
     if y1.size == 0:
         raise InvalidInputError("labels must be nonempty")
-    if same_partition(y1, y2):
+    joint = contingency_table(y1, y2)
+    if _one_to_one(joint):
         return 1.0
     m = y1.size
-    joint = contingency_table(y1, y2)
     row = joint.sum(axis=1)
     col = joint.sum(axis=0)
     h1 = _entropy(row, m)
@@ -71,16 +76,20 @@ def margin(y: np.ndarray, y_star: np.ndarray) -> float:
     return 1.0 - nmi(y, y_star)
 
 
-def recall_at_k(batch: EmbeddingBatch, labels: np.ndarray, k: int) -> float:
-    """Fraction of points whose k nearest neighbors (self excluded, Euclidean,
-    distance ties by smaller index) include at least one same-class point."""
+def recall_at_k(
+    batch: EmbeddingBatch, labels: np.ndarray, ks: Sequence[int]
+) -> dict[int, float]:
+    """For each K, the fraction of points whose K nearest neighbors (self
+    excluded, Euclidean, distance ties by smaller index) include at least one
+    same-class point. One ranking serves every K."""
     labels = np.asarray(labels)
     m = batch.m
-    if not 1 <= k < m:
-        raise InvalidInputError(f"k must be in [1, {m}), got {k}")
+    for k in ks:
+        if not 1 <= k < m:
+            raise InvalidInputError(f"k must be in [1, {m}), got {k}")
     dist = pairwise_distances(batch)
     np.fill_diagonal(dist, np.inf)
     # stable sort keeps ties in index order
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    hits = np.any(labels[neighbors] == labels[:, None], axis=1)
-    return int(np.count_nonzero(hits)) / m
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, : max(ks, default=0)]
+    same = labels[neighbors] == labels[:, None]
+    return {int(k): int(np.count_nonzero(same[:, :k].any(axis=1))) / m for k in ks}

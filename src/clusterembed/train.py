@@ -89,6 +89,8 @@ class TrainConfig:
             raise InvalidInputError("gamma_decay_interval must be at least 1")
         if any(k < 1 for k in self.recall_ks):
             raise InvalidInputError("recall K values must be positive")
+        if any(width < 1 for width in self.hidden_dims):
+            raise InvalidInputError("hidden layer widths must be positive")
 
     @property
     def classes_per_batch(self) -> int:
@@ -154,8 +156,7 @@ def evaluate_embeddings(
     seed_result = greedy_inference(dist, labels, gamma=0.0)
     refined = pam_refine(dist, labels, seed_result.medoids, gamma=0.0, max_sweeps=refine_sweeps)
     score = nmi(refined.assignment, labels)
-    recalls = {int(k): recall_at_k(batch, labels, int(k)) for k in recall_ks}
-    return score, recalls
+    return score, recall_at_k(batch, labels, recall_ks)
 
 
 def evaluate_model(
@@ -178,6 +179,11 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpParams, list[TrainR
         raise InvalidInputError(
             f"batch draws {config.classes_per_batch} classes, train split has "
             f"{len(split.train_classes)}"
+        )
+    heldout = sum(dataset.class_index[c].size for c in split.test_classes)
+    if any(k >= heldout for k in config.recall_ks):
+        raise InvalidInputError(
+            f"recall K values must be below the {heldout} held-out points, got {config.recall_ks}"
         )
     interval = config.gamma_decay_interval
     if interval is None:

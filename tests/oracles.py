@@ -7,6 +7,10 @@ the package code is unlikely.
 
 import numpy as np
 
+from clusterembed.facility import assign
+from clusterembed.inference import InferenceResult, augmented_objective
+from clusterembed.metrics import margin
+
 
 def dist_oracle(emb: np.ndarray) -> np.ndarray:
     m = emb.shape[0]
@@ -94,6 +98,90 @@ def recall_at_k_oracle(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
         if any(labels[j] == labels[i] for j in order[:k]):
             hits += 1
     return hits / m
+
+
+def greedy_reference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
+    """Greedy inference as first written: running nearest-medoid state and
+    one margin call per candidate. Kept as the regression reference for the
+    batched candidate scoring."""
+    m = dist.shape[0]
+    num_classes = int(np.max(y_star)) + 1
+    chosen: list[int] = []
+    trace: list[float] = []
+    in_set = np.zeros(m, dtype=bool)
+    best_dist = np.full(m, np.inf)
+    best_pos = np.zeros(m, dtype=np.intp)
+    for step in range(num_classes):
+        cands = np.flatnonzero(~in_set)
+        new_dist = np.minimum(best_dist[:, None], dist[:, cands])
+        scores = -new_dist.sum(axis=0)
+        if gamma != 0.0:
+            for idx, cand in enumerate(cands):
+                closer = dist[:, cand] < best_dist
+                cand_assign = np.where(closer, step, best_pos)
+                scores[idx] += gamma * margin(cand_assign, y_star)
+        best = int(np.argmax(scores))
+        pick = int(cands[best])
+        chosen.append(pick)
+        in_set[pick] = True
+        closer = dist[:, pick] < best_dist
+        best_pos = np.where(closer, step, best_pos)
+        best_dist = np.minimum(best_dist, dist[:, pick])
+        trace.append(float(scores[best]))
+    medoids = tuple(chosen)
+    return InferenceResult(
+        medoids=medoids,
+        assignment=best_pos.copy(),
+        objective=augmented_objective(dist, medoids, y_star, gamma),
+        trace=trace,
+    )
+
+
+def pam_refine_reference(
+    dist: np.ndarray, y_star: np.ndarray, initial_medoids, gamma: float, max_sweeps: int,
+    candidate_pool: str,
+) -> InferenceResult:
+    """Swap refinement as first written: one full ``assign`` per candidate
+    swap. Kept as the regression reference for the batched candidate scoring."""
+    m = dist.shape[0]
+    num_classes = int(np.max(y_star)) + 1
+    medoids = [int(i) for i in initial_medoids]
+    trace: list[float] = []
+    for _ in range(max_sweeps):
+        labels = assign(dist, medoids)
+        changed = False
+        for k in range(num_classes):
+            members = np.flatnonzero(labels == k)
+            cands = members if candidate_pool == "cluster" else np.arange(m)
+            other_medoids = set(medoids) - {medoids[k]}
+            cands = cands[~np.isin(cands, list(other_medoids))]
+            if cands.size == 0:
+                continue
+            if candidate_pool == "cluster":
+                scores = -dist[np.ix_(members, cands)].sum(axis=0)
+            else:
+                others = [medoids[p] for p in range(num_classes) if p != k]
+                other_min = dist[:, others].min(axis=1) if others else np.full(m, np.inf)
+                scores = -np.minimum(other_min[:, None], dist[:, cands]).sum(axis=0)
+            if gamma != 0.0:
+                trial = list(medoids)
+                for idx, cand in enumerate(cands):
+                    trial[k] = int(cand)
+                    scores[idx] += gamma * margin(assign(dist, trial), y_star)
+            pick = int(cands[int(np.argmax(scores))])
+            if pick != medoids[k]:
+                medoids[k] = pick
+                changed = True
+        trace.append(augmented_objective(dist, medoids, y_star, gamma))
+        if not changed:
+            break
+    final = tuple(medoids)
+    return InferenceResult(
+        medoids=final,
+        assignment=assign(dist, final),
+        objective=trace[-1],
+        trace=trace,
+    )
 
 
 def triplet_oracle(emb: np.ndarray, y: np.ndarray, alpha: float) -> float:

@@ -1,9 +1,10 @@
 """Acceptance gates.
 
 Each test enforces one release criterion and finishes with a single
-PASS line. Regression floors marked "pilot-pinned" were measured by the
-scripts in scripts/ (pilot_inference.py, pilot_desk_task.py) on the
-exact protocols used here; the floors sit a safety margin below the
+PASS line. Regression floors marked "pilot-pinned" were measured on the
+exact protocols used here: the inference match fractions are the ones
+criterion 1's PASS line prints, the training floors come from
+scripts/pilot_desk_task.py. The floors sit a safety margin below the
 measured values and above the relevant baselines.
 """
 

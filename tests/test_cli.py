@@ -172,6 +172,38 @@ def test_evaluate_bad_input_file_fails_cleanly(tmp_path, data_csv, capsys, fault
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag,value,code,named",
+    [
+        ("--train-fraction", "0.9", 1, "held out"),
+        ("--recall-ks", "40", 1, "held-out points"),
+        ("--hidden-dims", "0", 2, "positive integers"),
+    ],
+    ids=["train-fraction", "recall-ks", "hidden-dims"],
+)
+def test_train_bad_setting_fails_before_training(tmp_path, capsys, flag, value, code, named):
+    # 6 classes of 5 points: 0.9 holds out no class, 15 held-out points rank
+    # fewer than 40 neighbors, and a hidden layer of width 0 cannot be built
+    data_csv = tmp_path / "small.csv"
+    gen = ["generate", "--classes", "6", "--per-class", "5", "--dim", "3", "--out", str(data_csv)]
+    assert main(gen) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "model.ckpt"
+    args = ["train", "--data", str(data_csv), "--checkpoint", str(ckpt),
+            "--batch-size", "8", "--iterations", "4", flag, value]
+    if code == 1:
+        assert main(args) == 1
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("model*")) == []
+
+
 def test_missing_data_file_fails_cleanly(tmp_path, capsys):
     code = main(
         ["train", "--data", str(tmp_path / "absent.csv"),

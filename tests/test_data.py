@@ -106,6 +106,9 @@ def test_split_by_class():
     assert split == again
     other = split_by_class(ds, 0.5, seed=12)
     assert isinstance(other, SplitSpec)
+    # ceil(0.9 * 4) = 4 train classes would leave nothing to evaluate on
+    with pytest.raises(InvalidInputError, match="held out"):
+        split_by_class(ds, 0.9, seed=11)
 
 
 def test_split_validation():

@@ -5,12 +5,15 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score
 from clusterembed.inference import (
+    _swap_scores,
     augmented_objective,
     brute_force_inference,
     greedy_inference,
     pam_refine,
 )
 from clusterembed.metrics import margin
+
+from oracles import greedy_reference, pam_refine_reference
 
 
 def line_instance():
@@ -184,3 +187,56 @@ def test_brute_force_refuses_huge_instances():
     dist = pairwise_distances(EmbeddingBatch(rng.normal(size=(m, 2))))
     with pytest.raises(InstanceTooLargeError):
         brute_force_inference(dist, y, 0.0)  # C(40,10) ~ 8.5e8
+
+
+def assert_same_result(got, want, instance):
+    assert got.medoids == want.medoids, instance
+    assert np.array_equal(got.assignment, want.assignment), instance
+    assert got.trace == want.trace, instance
+    assert got.objective == want.objective, instance
+
+
+def test_batched_candidate_scoring_matches_reference_loops():
+    """Greedy and both refinement pools agree exactly, not approximately,
+    with the per-candidate loops they replaced. Every 7th instance has
+    integer embeddings, so distances tie and tie-breaking is exercised."""
+    rng = np.random.default_rng(41)
+    for i in range(300):
+        m = int(rng.integers(8, 28))
+        num_classes = 2 + i % 4
+        gamma = (0.0, 0.5, 2.0)[i % 3]
+        pool = ("cluster", "all")[i % 2]
+        emb = rng.normal(size=(m, 3))
+        if i % 7 == 0:
+            emb = np.round(2.0 * emb)
+        y = rng.permutation(
+            np.concatenate([np.arange(num_classes), rng.integers(0, num_classes, m - num_classes)])
+        )
+        dist = pairwise_distances(EmbeddingBatch(emb))
+        seed = greedy_reference(dist, y, gamma)
+        assert_same_result(greedy_inference(dist, y, gamma), seed, i)
+        assert_same_result(
+            pam_refine(dist, y, seed.medoids, gamma, 5, pool),
+            pam_refine_reference(dist, y, seed.medoids, gamma, 5, pool),
+            i,
+        )
+
+
+def test_candidate_scores_equal_objective_of_each_swapped_set():
+    """Every candidate's score is A(S) of the set with the candidate placed
+    at the position, including appends and ties between duplicate points."""
+    rng = np.random.default_rng(42)
+    for i in range(60):
+        m = int(rng.integers(6, 16))
+        dist, y = random_instance(rng, m=m, max_classes=4)
+        if i % 2:
+            dist = pairwise_distances(EmbeddingBatch(rng.integers(0, 3, size=(m, 2)) * 1.0))
+        medoids = [int(v) for v in rng.permutation(m)[: 1 + i % 4]]
+        pos = int(rng.integers(0, len(medoids) + 1))
+        cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
+        for gamma in (0.0, 0.5):
+            scores = _swap_scores(dist, y, gamma, medoids, pos, cands)
+            for cand, score in zip(cands, scores):
+                swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
+                want = augmented_objective(dist, swapped, y, gamma)
+                assert score == pytest.approx(want, abs=1e-12), (i, pos, cand)

@@ -134,23 +134,23 @@ def test_recall_at_k_separated_clusters():
         np.array([[0.0, 0], [0.1, 0], [10.0, 0], [10.1, 0]])
     )
     labels = np.array([0, 0, 1, 1])
-    assert recall_at_k(emb, labels, 1) == 1.0
-    assert recall_at_k(emb, labels, 3) == 1.0
+    assert recall_at_k(emb, labels, (1, 3)) == {1: 1.0, 3: 1.0}
 
 
 def test_recall_at_k_singleton_class_cannot_hit():
     emb = EmbeddingBatch(np.array([[0.0], [1.0], [2.0]]))
     labels = np.array([0, 0, 1])
     # the singleton at 2.0 has no same-class neighbor anywhere
-    assert recall_at_k(emb, labels, 1) == pytest.approx(2 / 3)
-    assert recall_at_k(emb, labels, 2) == pytest.approx(2 / 3)
+    recalls = recall_at_k(emb, labels, (1, 2))
+    assert recalls[1] == pytest.approx(2 / 3)
+    assert recalls[2] == pytest.approx(2 / 3)
 
 
 def test_recall_at_k_distance_tie_breaks_by_index():
     # point 1 is equidistant from 0 and 2; index order puts 0 first
     emb = EmbeddingBatch(np.array([[0.0], [1.0], [2.0]]))
-    assert recall_at_k(emb, np.array([0, 0, 1]), 1) == pytest.approx(2 / 3)
-    assert recall_at_k(emb, np.array([1, 0, 0]), 1) == pytest.approx(1 / 3)
+    assert recall_at_k(emb, np.array([0, 0, 1]), (1,))[1] == pytest.approx(2 / 3)
+    assert recall_at_k(emb, np.array([1, 0, 0]), (1,))[1] == pytest.approx(1 / 3)
 
 
 def test_recall_at_k_matches_oracle():
@@ -159,23 +159,27 @@ def test_recall_at_k_matches_oracle():
         m = int(rng.integers(4, 15))
         emb = rng.normal(size=(m, 3))
         labels = rng.integers(0, 3, size=m)
-        for k in (1, 2, m - 1):
-            got = recall_at_k(EmbeddingBatch(emb), labels, k)
-            assert type(got) is float
-            assert got == pytest.approx(recall_at_k_oracle(emb, labels, k), abs=0)
+        ks = (1, 2, m - 1)
+        got = recall_at_k(EmbeddingBatch(emb), labels, ks)
+        assert set(got) == set(ks)
+        for k, value in got.items():
+            assert type(value) is float
+            assert value == pytest.approx(recall_at_k_oracle(emb, labels, k), abs=0)
 
 
 def test_recall_at_k_full_neighborhood_with_paired_classes():
     rng = np.random.default_rng(15)
     emb = EmbeddingBatch(rng.normal(size=(8, 2)))
     labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-    assert recall_at_k(emb, labels, 7) == 1.0
+    assert recall_at_k(emb, labels, (7,)) == {7: 1.0}
 
 
 def test_recall_at_k_bounds():
     emb = EmbeddingBatch(np.zeros((4, 2)))
     labels = np.array([0, 0, 1, 1])
     with pytest.raises(InvalidInputError):
-        recall_at_k(emb, labels, 0)
+        recall_at_k(emb, labels, (0,))
     with pytest.raises(InvalidInputError):
-        recall_at_k(emb, labels, 4)
+        recall_at_k(emb, labels, (4,))
+    with pytest.raises(InvalidInputError):
+        recall_at_k(emb, labels, (1, 4))

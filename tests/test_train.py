@@ -109,6 +109,8 @@ def test_config_validation():
         TrainConfig(gamma_decay_rate=0.0)
     with pytest.raises(InvalidInputError):
         TrainConfig(learning_rate=-0.1)
+    with pytest.raises(InvalidInputError):
+        TrainConfig(hidden_dims=(8, 0))
 
 
 def test_train_rejects_undersized_split():
@@ -116,6 +118,13 @@ def test_train_rejects_undersized_split():
     config = TrainConfig(max_iterations=1, batch_size=16, class_ratio=0.25, seed=0)
     with pytest.raises(InvalidInputError):
         train(config, ds)
+
+
+def test_train_rejects_recall_k_beyond_heldout_before_training():
+    # 4 held-out classes of 6 points: K = 24 has no 24 neighbors to rank
+    config = TrainConfig(max_iterations=0, **{**TINY, "recall_ks": (1, 24)})
+    with pytest.raises(InvalidInputError, match="held-out"):
+        train(config, tiny_dataset())
 
 
 def test_heldout_rows_dense_sorted_remap():
