@@ -38,20 +38,20 @@ def positive_pairs(y: np.ndarray) -> list[tuple[int, int]]:
     return list(map(tuple, np.argwhere(same).tolist()))
 
 
-def _negatives(y: np.ndarray) -> list[np.ndarray]:
-    """Per-anchor arrays of indices with a different label."""
+def _mine(y: np.ndarray) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+    """Ordered positive pairs and, per anchor, the indices with another label.
+
+    Every anchor has a negative exactly when the batch holds more than one
+    class, so that and a nonempty pair set are all a loss needs checked.
+    """
     y = np.asarray(y)
-    return [np.flatnonzero(y != y[i]) for i in range(y.shape[0])]
-
-
-def _check_batch(pairs: list[tuple[int, int]], negatives: list[np.ndarray]) -> None:
+    pairs = positive_pairs(y)
     if not pairs:
         raise InvalidInputError("batch has no positive pairs")
-    for i, j in pairs:
-        if negatives[i].size == 0:
-            raise InvalidInputError(f"anchor {i} has no negatives in the batch")
-        if negatives[j].size == 0:
-            raise InvalidInputError(f"anchor {j} has no negatives in the batch")
+    differ = y[:, None] != y[None, :]
+    if not differ.any():
+        raise InvalidInputError("batch has a single class, so no anchor has negatives")
+    return pairs, [np.flatnonzero(row) for row in differ]
 
 
 def triplet_semihard_loss(
@@ -64,11 +64,8 @@ def triplet_semihard_loss(
     negative satisfies the constraint the farthest negative is used
     instead. Gradients flow through the active hinge terms with k* frozen.
     """
-    y = np.asarray(y)
     emb = batch.data
-    pairs = positive_pairs(y)
-    negatives = _negatives(y)
-    _check_batch(pairs, negatives)
+    pairs, negatives = _mine(y)
     d2 = pairwise_squared_distances(batch)
 
     total = 0.0
@@ -91,15 +88,6 @@ def triplet_semihard_loss(
     return total / n, grad / n
 
 
-def _unit_rows(emb: np.ndarray, anchor: int, others: np.ndarray, dist_row: np.ndarray) -> np.ndarray:
-    """Rows (E_anchor - E_k) / D(anchor, k) with zero-distance rows zeroed."""
-    diffs = emb[anchor] - emb[others]
-    out = np.zeros_like(diffs)
-    ok = dist_row > ZERO_NORM_TOL
-    out[ok] = diffs[ok] / dist_row[ok, None]
-    return out
-
-
 def lifted_struct_loss(
     batch: EmbeddingBatch, y: np.ndarray, alpha: float
 ) -> tuple[float, np.ndarray]:
@@ -113,13 +101,18 @@ def lifted_struct_loss(
     and the loss is (1 / (2|P|)) * sum [J]_+^2 over unsquared distances.
     The log-sum-exp is max-shifted for stability; the analytic gradient
     chains through the softmax weights of the negative terms.
+
+    The unit directions (E_a - E_k) / D(a, k) are tabulated once per batch,
+    an m x m x d array (2 MB at m = 128, d = 16): sized for training
+    batches, not for evaluation-scale m.
     """
-    y = np.asarray(y)
     emb = batch.data
-    pairs = positive_pairs(y)
-    negatives = _negatives(y)
-    _check_batch(pairs, negatives)
+    pairs, negatives = _mine(y)
     dist = pairwise_distances(batch)
+    units = emb[:, None, :] - emb[None, :, :]
+    apart = dist > ZERO_NORM_TOL  # coincident points get a zero direction
+    np.divide(units, dist[:, :, None], out=units, where=apart[:, :, None])
+    units[~apart] = 0.0
 
     n = len(pairs)
     total = 0.0
@@ -138,16 +131,16 @@ def lifted_struct_loss(
         weights /= z
         wi, wj = weights[: ni.size], weights[ni.size :]
         # d J / d D(i,j) = 1
-        u_ij = _unit_rows(emb, i, np.array([j]), np.array([dist[i, j]]))[0]
-        grad[i] += coeff * u_ij
-        grad[j] -= coeff * u_ij
-        # d J / d D(i,k) = -w_ik, likewise for the j side
-        ui = _unit_rows(emb, i, ni, dist[i, ni])
+        grad[i] += coeff * units[i, j]
+        grad[j] -= coeff * units[i, j]
+        # d J / d D(i,k) = -w_ik, likewise for the j side; negatives are
+        # distinct, so plain fancy-index += scatters them
+        ui = units[i, ni]
         grad[i] -= coeff * (wi[:, None] * ui).sum(axis=0)
-        np.add.at(grad, ni, coeff * wi[:, None] * ui)
-        uj = _unit_rows(emb, j, nj, dist[j, nj])
+        grad[ni] += coeff * wi[:, None] * ui
+        uj = units[j, nj]
         grad[j] -= coeff * (wj[:, None] * uj).sum(axis=0)
-        np.add.at(grad, nj, coeff * wj[:, None] * uj)
+        grad[nj] += coeff * wj[:, None] * uj
     return total / (2.0 * n), grad
 
 
@@ -161,12 +154,9 @@ def npairs_loss(
     over |P|, plus (lambda / m) * sum_i ||E_i||_2 with the unsquared norm.
     Operates on raw (unnormalized) embeddings.
     """
-    y = np.asarray(y)
     emb = batch.data
     m = emb.shape[0]
-    pairs = positive_pairs(y)
-    negatives = _negatives(y)
-    _check_batch(pairs, negatives)
+    pairs, negatives = _mine(y)
     sims = pairwise_similarities(batch)
 
     n = len(pairs)
@@ -184,7 +174,7 @@ def npairs_loss(
         grad[i] += (probs[0] - 1.0) * emb[j]
         grad[j] += (probs[0] - 1.0) * emb[i]
         grad[i] += probs[1:] @ emb[ni]
-        np.add.at(grad, ni, probs[1:, None] * emb[i])
+        grad[ni] += probs[1:, None] * emb[i]
     total /= n
     grad /= n
 

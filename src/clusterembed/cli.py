@@ -51,15 +51,15 @@ def nonneg_int(text: str) -> int:
 
 def positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
 def nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {text}")
     return value
 
 

@@ -82,8 +82,8 @@ def generate_gaussian(
     [-center_scale, center_scale]^D, points = center + N(0, std^2 I)."""
     if num_classes < 1 or points_per_class < 1 or input_dim < 1:
         raise InvalidInputError("counts and dimensions must be positive")
-    if cluster_std < 0 or center_scale < 0:
-        raise InvalidInputError("scales must be nonnegative")
+    if not (0 <= cluster_std < np.inf and 0 <= center_scale < np.inf):
+        raise InvalidInputError("scales must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_scale, center_scale, size=(num_classes, input_dim))
     blocks = [

@@ -19,6 +19,10 @@ ZERO_NORM_TOL = 1e-12
 # Allowed deviation from unit norm for a batch claiming to be normalized.
 UNIT_NORM_TOL = 1e-6
 
+# Rows per block of the distance matrix: the difference buffer holds
+# DISTANCE_BLOCK_ROWS x m x d floats (10 MB at m = 1,280, d = 16).
+DISTANCE_BLOCK_ROWS = 64
+
 
 @dataclass
 class EmbeddingBatch:
@@ -61,10 +65,20 @@ def pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
 
 
 def pairwise_squared_distances(batch: EmbeddingBatch) -> np.ndarray:
-    """Squared Euclidean distance matrix; the triplet loss uses this form."""
+    """Squared Euclidean distance matrix; the triplet loss uses this form.
+
+    Filled a block of rows at a time through one reused difference buffer;
+    a fresh buffer per block would make the allocator map pages per call.
+    """
     e = batch.data
-    diff = e[:, None, :] - e[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    m = e.shape[0]
+    out = np.empty((m, m))
+    diff = np.empty((min(DISTANCE_BLOCK_ROWS, m), m, e.shape[1]))
+    for lo in range(0, m, DISTANCE_BLOCK_ROWS):
+        rows = diff[: m - lo]
+        np.subtract(e[lo : lo + DISTANCE_BLOCK_ROWS, None, :], e[None, :, :], out=rows)
+        np.einsum("ijk,ijk->ij", rows, rows, out=out[lo : lo + DISTANCE_BLOCK_ROWS])
+    return out
 
 
 def pairwise_similarities(batch: EmbeddingBatch) -> np.ndarray:

@@ -47,11 +47,6 @@ def assign(dist: np.ndarray, medoids: Sequence[int]) -> np.ndarray:
     return np.argmin(dist[:, s], axis=1)
 
 
-def within_class_score(dist: np.ndarray, members: np.ndarray, medoid: int) -> float:
-    """Facility score of a single medoid serving exactly the given points."""
-    return -float(np.sum(dist[members, medoid]))
-
-
 def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Best achievable per-class medoid score under the ground-truth partition.
 

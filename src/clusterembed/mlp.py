@@ -2,9 +2,9 @@
 
 The embedding function is a stack of affine layers with ReLU between
 them (none after the last), optionally followed by row l2-normalization
-so embeddings live on the unit sphere. Forward returns a cache of
-pre-activations that ``backward`` consumes to produce parameter
-gradients from an upstream gradient w.r.t. the embeddings.
+so embeddings live on the unit sphere. Forward returns a cache of layer
+outputs that ``backward`` consumes to produce parameter gradients from an
+upstream gradient w.r.t. the embeddings.
 
 Everything is float64: the package's gradient checks compare against
 central finite differences at 1e-4 relative error, which 32-bit
@@ -58,14 +58,12 @@ class MlpParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates retained for backward: the input, each layer's
-    pre-activation, each layer's post-activation, and the final
-    pre-normalization output when normalization is enabled."""
+    """Intermediates retained for backward: the input and each layer's
+    post-activation output. The last output is the normalization input, and
+    a ReLU output is positive exactly where its pre-activation is."""
 
     x: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
-    pre_normalize: np.ndarray | None = None
 
 
 MlpGrads = list[tuple[np.ndarray, np.ndarray]]
@@ -98,11 +96,9 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[EmbeddingBatch, ForwardCa
     last = len(params.layers) - 1
     for idx, (w, b) in enumerate(params.layers):
         z = h @ w.T + b
-        cache.pre_activations.append(z)
         h = np.maximum(z, 0.0) if idx < last else z
         cache.activations.append(h)
     if params.final_normalize:
-        cache.pre_normalize = h
         batch = l2_normalize_rows(EmbeddingBatch(h))
     else:
         batch = EmbeddingBatch(h)
@@ -123,9 +119,7 @@ def backward(params: MlpParams, cache: ForwardCache, d_embeddings: np.ndarray) -
             f"output shape {cache.activations[-1].shape}"
         )
     if params.final_normalize:
-        if cache.pre_normalize is None:
-            raise InvalidInputError("cache lacks pre-normalization output")
-        dh = l2_normalize_rows_backward(cache.pre_normalize, d_embeddings)
+        dh = l2_normalize_rows_backward(cache.activations[-1], d_embeddings)
     else:
         dh = d_embeddings
 
@@ -133,7 +127,7 @@ def backward(params: MlpParams, cache: ForwardCache, d_embeddings: np.ndarray) -
     last = len(params.layers) - 1
     for idx in range(last, -1, -1):
         w, _ = params.layers[idx]
-        dz = dh if idx == last else dh * (cache.pre_activations[idx] > 0.0)
+        dz = dh if idx == last else dh * (cache.activations[idx] > 0.0)
         below = cache.x if idx == 0 else cache.activations[idx - 1]
         grads[idx] = (dz.T @ below, dz.sum(axis=0))
         if idx > 0:

@@ -15,7 +15,7 @@ fixed order, and evaluation consumes no randomness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -63,6 +63,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss_kind not in ("cluster", "triplet", "lifted", "npairs"):
             raise InvalidInputError(f"unknown loss kind {self.loss_kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise InvalidInputError(f"{f.name} must be finite, got {value}")
         positive = {
             "batch_size": self.batch_size,
             "embedding_dim": self.embedding_dim,

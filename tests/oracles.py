@@ -7,6 +7,15 @@ the package code is unlikely.
 
 import numpy as np
 
+from clusterembed.baselines import positive_pairs
+from clusterembed.embedding_ops import (
+    ZERO_NORM_TOL,
+    EmbeddingBatch,
+    pairwise_distances,
+    pairwise_similarities,
+    pairwise_squared_distances,
+)
+from clusterembed.errors import DegenerateRowError, InvalidInputError
 from clusterembed.facility import assign
 from clusterembed.inference import InferenceResult, augmented_objective
 from clusterembed.metrics import margin
@@ -235,6 +244,177 @@ def npairs_oracle(emb: np.ndarray, y: np.ndarray, lam: float) -> float:
             terms.append(-np.log(np.exp(sims[i, j]) / denom))
     reg = lam / m * sum(np.sqrt(np.sum(emb[i] ** 2)) for i in range(m))
     return sum(terms) / len(terms) + reg
+
+
+def squared_distances_broadcast(emb: np.ndarray) -> np.ndarray:
+    """Squared distances from one m x m x d broadcast difference tensor."""
+    diff = emb[:, None, :] - emb[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+# The three comparison losses as first written: per-pair unit rows and
+# np.add.at scatters. Kept verbatim as the bit-for-bit regression reference
+# for the per-batch versions in clusterembed.baselines.
+
+
+def _negatives_reference(y: np.ndarray) -> list[np.ndarray]:
+    """Per-anchor arrays of indices with a different label."""
+    y = np.asarray(y)
+    return [np.flatnonzero(y != y[i]) for i in range(y.shape[0])]
+
+
+def _check_batch_reference(pairs: list[tuple[int, int]], negatives: list[np.ndarray]) -> None:
+    if not pairs:
+        raise InvalidInputError("batch has no positive pairs")
+    for i, j in pairs:
+        if negatives[i].size == 0:
+            raise InvalidInputError(f"anchor {i} has no negatives in the batch")
+        if negatives[j].size == 0:
+            raise InvalidInputError(f"anchor {j} has no negatives in the batch")
+
+
+def triplet_semihard_loss_reference(
+    batch: EmbeddingBatch, y: np.ndarray, alpha: float
+) -> tuple[float, np.ndarray]:
+    """Mean over ordered positive pairs of [D2(i,j) + alpha - D2(i,k*)]_+.
+
+    k* is the semi-hard negative of the anchor i: the negative with the
+    smallest squared distance still strictly greater than D2(i,j). When no
+    negative satisfies the constraint the farthest negative is used
+    instead. Gradients flow through the active hinge terms with k* frozen.
+    """
+    y = np.asarray(y)
+    emb = batch.data
+    pairs = positive_pairs(y)
+    negatives = _negatives_reference(y)
+    _check_batch_reference(pairs, negatives)
+    d2 = pairwise_squared_distances(batch)
+
+    total = 0.0
+    grad = np.zeros_like(emb)
+    for i, j in pairs:
+        neg = negatives[i]
+        neg_d2 = d2[i, neg]
+        beyond = neg_d2 > d2[i, j]
+        if np.any(beyond):
+            k = int(neg[beyond][int(np.argmin(neg_d2[beyond]))])
+        else:
+            k = int(neg[int(np.argmax(neg_d2))])
+        term = d2[i, j] + alpha - d2[i, k]
+        if term > 0.0:
+            total += term
+            grad[i] += 2.0 * (emb[i] - emb[j]) - 2.0 * (emb[i] - emb[k])
+            grad[j] -= 2.0 * (emb[i] - emb[j])
+            grad[k] += 2.0 * (emb[i] - emb[k])
+    n = len(pairs)
+    return total / n, grad / n
+
+
+def _unit_rows_reference(emb: np.ndarray, anchor: int, others: np.ndarray, dist_row: np.ndarray) -> np.ndarray:
+    """Rows (E_anchor - E_k) / D(anchor, k) with zero-distance rows zeroed."""
+    diffs = emb[anchor] - emb[others]
+    out = np.zeros_like(diffs)
+    ok = dist_row > ZERO_NORM_TOL
+    out[ok] = diffs[ok] / dist_row[ok, None]
+    return out
+
+
+def lifted_struct_loss_reference(
+    batch: EmbeddingBatch, y: np.ndarray, alpha: float
+) -> tuple[float, np.ndarray]:
+    """Lifted structured loss in its smooth log-sum-exp form.
+
+    For each ordered positive pair (i, j),
+
+        J = log( sum_{k in N(i)} e^{alpha - D(i,k)}
+               + sum_{l in N(j)} e^{alpha - D(j,l)} ) + D(i, j)
+
+    and the loss is (1 / (2|P|)) * sum [J]_+^2 over unsquared distances.
+    The log-sum-exp is max-shifted for stability; the analytic gradient
+    chains through the softmax weights of the negative terms.
+    """
+    y = np.asarray(y)
+    emb = batch.data
+    pairs = positive_pairs(y)
+    negatives = _negatives_reference(y)
+    _check_batch_reference(pairs, negatives)
+    dist = pairwise_distances(batch)
+
+    n = len(pairs)
+    total = 0.0
+    grad = np.zeros_like(emb)
+    for i, j in pairs:
+        ni, nj = negatives[i], negatives[j]
+        exponents = np.concatenate([alpha - dist[i, ni], alpha - dist[j, nj]])
+        shift = exponents.max()
+        weights = np.exp(exponents - shift)
+        z = weights.sum()
+        jval = shift + np.log(z) + dist[i, j]
+        if jval <= 0.0:
+            continue
+        total += jval * jval
+        coeff = jval / n  # d/dJ of J^2/(2n)
+        weights /= z
+        wi, wj = weights[: ni.size], weights[ni.size :]
+        # d J / d D(i,j) = 1
+        u_ij = _unit_rows_reference(emb, i, np.array([j]), np.array([dist[i, j]]))[0]
+        grad[i] += coeff * u_ij
+        grad[j] -= coeff * u_ij
+        # d J / d D(i,k) = -w_ik, likewise for the j side
+        ui = _unit_rows_reference(emb, i, ni, dist[i, ni])
+        grad[i] -= coeff * (wi[:, None] * ui).sum(axis=0)
+        np.add.at(grad, ni, coeff * wi[:, None] * ui)
+        uj = _unit_rows_reference(emb, j, nj, dist[j, nj])
+        grad[j] -= coeff * (wj[:, None] * uj).sum(axis=0)
+        np.add.at(grad, nj, coeff * wj[:, None] * uj)
+    return total / (2.0 * n), grad
+
+
+def npairs_loss_reference(
+    batch: EmbeddingBatch, y: np.ndarray, reg_lambda: float
+) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy over dot-product similarities plus a norm penalty.
+
+    Each ordered positive pair (i, j) contributes
+    -log( e^{S(i,j)} / (e^{S(i,j)} + sum_{k in N(i)} e^{S(i,k)}) ), averaged
+    over |P|, plus (lambda / m) * sum_i ||E_i||_2 with the unsquared norm.
+    Operates on raw (unnormalized) embeddings.
+    """
+    y = np.asarray(y)
+    emb = batch.data
+    m = emb.shape[0]
+    pairs = positive_pairs(y)
+    negatives = _negatives_reference(y)
+    _check_batch_reference(pairs, negatives)
+    sims = pairwise_similarities(batch)
+
+    n = len(pairs)
+    total = 0.0
+    grad = np.zeros_like(emb)
+    for i, j in pairs:
+        ni = negatives[i]
+        scores = np.concatenate([[sims[i, j]], sims[i, ni]])
+        shift = scores.max()
+        expd = np.exp(scores - shift)
+        z = expd.sum()
+        total += shift + np.log(z) - sims[i, j]
+        probs = expd / z
+        # d term / d S(i,j) = p_j - 1; d term / d S(i,k) = p_k
+        grad[i] += (probs[0] - 1.0) * emb[j]
+        grad[j] += (probs[0] - 1.0) * emb[i]
+        grad[i] += probs[1:] @ emb[ni]
+        np.add.at(grad, ni, probs[1:, None] * emb[i])
+    total /= n
+    grad /= n
+
+    if reg_lambda != 0.0:
+        norms = np.linalg.norm(emb, axis=1)
+        if np.any(norms <= ZERO_NORM_TOL):
+            bad = int(np.argmax(norms <= ZERO_NORM_TOL))
+            raise DegenerateRowError(f"row {bad} has zero norm; norm penalty gradient undefined")
+        total += reg_lambda / m * norms.sum()
+        grad += reg_lambda / m * (emb / norms[:, None])
+    return float(total), grad
 
 
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

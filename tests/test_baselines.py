@@ -10,7 +10,16 @@ from clusterembed.baselines import (
 from clusterembed.embedding_ops import EmbeddingBatch
 from clusterembed.errors import DegenerateRowError, InvalidInputError
 
-from oracles import central_diff_grad, lifted_oracle, npairs_oracle, rel_err, triplet_oracle
+from oracles import (
+    central_diff_grad,
+    lifted_oracle,
+    lifted_struct_loss_reference,
+    npairs_loss_reference,
+    npairs_oracle,
+    rel_err,
+    triplet_oracle,
+    triplet_semihard_loss_reference,
+)
 
 
 def random_batch(rng, m=8, num_classes=3, d=3):
@@ -181,9 +190,39 @@ def test_nonnegative_losses():
 
 def test_degenerate_label_guards():
     emb = np.random.default_rng(49).normal(size=(4, 2))
-    with pytest.raises(InvalidInputError):
-        triplet_semihard_loss(EmbeddingBatch(emb), np.array([0, 0, 0, 0]), 0.5)
-    with pytest.raises(InvalidInputError):
-        lifted_struct_loss(EmbeddingBatch(emb), np.array([0, 1, 2, 3]), 1.0)  # no pairs
-    with pytest.raises(InvalidInputError):
-        npairs_loss(EmbeddingBatch(emb), np.array([1, 1, 1, 1]), 0.1)
+    for loss, arg in (
+        (triplet_semihard_loss, 0.5),
+        (lifted_struct_loss, 1.0),
+        (npairs_loss, 0.1),
+    ):
+        with pytest.raises(InvalidInputError, match="no positive pairs"):
+            loss(EmbeddingBatch(emb), np.array([0, 1, 2, 3]), arg)
+        with pytest.raises(InvalidInputError, match="single class"):
+            loss(EmbeddingBatch(emb), np.array([1, 1, 1, 1]), arg)
+
+
+def test_per_batch_losses_equal_per_pair_reference_bit_for_bit():
+    rng = np.random.default_rng(50)
+    for trial in range(300):
+        m = int(rng.integers(3, 41))
+        num_classes = int(rng.integers(2, 8))
+        y = rng.integers(0, num_classes, size=m)
+        y[:3] = [0, 0, 1]  # at least one pair and two classes
+        emb = rng.normal(size=(m, int(rng.integers(1, 17)))) * rng.uniform(0.2, 3.0)
+        normalized = False
+        if trial % 5 == 0:
+            emb = np.round(emb)  # coincident points, zero distances
+        elif trial % 3 == 0:
+            emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+            normalized = True
+        batch = EmbeddingBatch(emb, normalized=normalized)
+        lam = 0.1 if np.all(np.linalg.norm(emb, axis=1) > 0.0) else 0.0
+        for loss, reference, arg in (
+            (triplet_semihard_loss, triplet_semihard_loss_reference, rng.uniform(0.1, 2.0)),
+            (lifted_struct_loss, lifted_struct_loss_reference, rng.uniform(0.1, 2.0)),
+            (npairs_loss, npairs_loss_reference, lam),
+        ):
+            value, grad = loss(batch, y, arg)
+            ref_value, ref_grad = reference(batch, y, arg)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)

@@ -71,6 +71,16 @@ def test_generate_rejects_nonpositive_count(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_generate_rejects_non_finite_std(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--classes", "3", "--per-class", "2", "--dim", "2",
+              "--std", "nan", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rejects_unknown_loss(tmp_path, data_csv):
     with pytest.raises(SystemExit) as excinfo:
         main(train_args(data_csv, tmp_path / "m.ckpt", "--loss", "contrastive"))
@@ -178,12 +188,16 @@ def test_evaluate_bad_input_file_fails_cleanly(tmp_path, data_csv, capsys, fault
         ("--train-fraction", "0.9", 1, "held out"),
         ("--recall-ks", "40", 1, "held-out points"),
         ("--hidden-dims", "0", 2, "positive integers"),
+        ("--class-ratio", "inf", 2, "finite"),
+        ("--lr", "nan", 2, "finite"),
+        ("--alpha", "nan", 2, "finite"),
     ],
-    ids=["train-fraction", "recall-ks", "hidden-dims"],
+    ids=["train-fraction", "recall-ks", "hidden-dims", "class-ratio-inf", "lr-nan", "alpha-nan"],
 )
 def test_train_bad_setting_fails_before_training(tmp_path, capsys, flag, value, code, named):
     # 6 classes of 5 points: 0.9 holds out no class, 15 held-out points rank
-    # fewer than 40 neighbors, and a hidden layer of width 0 cannot be built
+    # fewer than 40 neighbors, a hidden layer of width 0 cannot be built, and
+    # non-finite numbers are usage errors
     data_csv = tmp_path / "small.csv"
     gen = ["generate", "--classes", "6", "--per-class", "5", "--dim", "3", "--out", str(data_csv)]
     assert main(gen) == 0

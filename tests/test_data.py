@@ -47,6 +47,8 @@ def test_generate_validation():
         generate_gaussian(0, 5, 2, 1.0, 1.0, 0)
     with pytest.raises(InvalidInputError):
         generate_gaussian(3, 5, 2, 1.0, -1.0, 0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        generate_gaussian(3, 5, 2, 1.0, float("nan"), 0)
 
 
 def test_csv_roundtrip_exact(tmp_path):

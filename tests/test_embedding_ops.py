@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clusterembed.embedding_ops import (
+    DISTANCE_BLOCK_ROWS,
     EmbeddingBatch,
     l2_normalize_rows,
     l2_normalize_rows_backward,
@@ -14,7 +15,7 @@ from clusterembed.embedding_ops import (
 )
 from clusterembed.errors import DegenerateRowError, InvalidInputError
 
-from oracles import central_diff_grad, dist_oracle, rel_err
+from oracles import central_diff_grad, dist_oracle, rel_err, squared_distances_broadcast
 
 finite_rows = arrays(
     np.float64,
@@ -57,6 +58,17 @@ def test_squared_distances_are_squares():
     emb = rng.normal(size=(9, 3))
     b = EmbeddingBatch(emb)
     assert rel_err(pairwise_squared_distances(b), pairwise_distances(b) ** 2).max() < 1e-12
+
+
+def test_row_blocks_equal_one_shot_broadcast():
+    rng = np.random.default_rng(10)
+    # one row, whole blocks only, and a ragged last block
+    for m in (1, 2 * DISTANCE_BLOCK_ROWS, 2 * DISTANCE_BLOCK_ROWS + 5):
+        for emb in (rng.normal(size=(m, 7)) * 30, np.round(rng.normal(size=(m, 3)))):
+            d2 = pairwise_squared_distances(EmbeddingBatch(emb))
+            assert np.array_equal(d2, squared_distances_broadcast(emb))
+            assert np.array_equal(d2, d2.T)
+            assert np.all(np.diag(d2) == 0.0)
 
 
 def test_similarities_are_dot_products():

@@ -5,7 +5,7 @@ import pytest
 
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
-from clusterembed.facility import assign, facility_score, oracle_score, within_class_score
+from clusterembed.facility import assign, facility_score, oracle_score
 
 from oracles import facility_oracle, oracle_score_oracle
 
@@ -55,14 +55,6 @@ def test_assign_nearest_and_tie_to_smallest_position():
     # order matters for the tie only
     labels = assign(dist, [2, 0])
     assert labels.tolist() == [1, 0, 0]
-
-
-def test_within_class_score():
-    dist = random_dist(3)
-    members = np.array([1, 4, 6])
-    assert within_class_score(dist, members, 4) == pytest.approx(
-        -(dist[1, 4] + dist[4, 4] + dist[6, 4]), rel=1e-12
-    )
 
 
 def test_oracle_score_matches_exhaustive_per_class_search():

@@ -23,11 +23,11 @@ def kink_free_input(rng, params, m=5):
     so finite differences see a locally smooth function."""
     for _ in range(100):
         x = rng.normal(size=(m, params.input_dim))
-        _, cache = forward(params, x)
-        margin = min(
-            float(np.abs(z).min()) for z in cache.pre_activations[:-1]
-        ) if len(params.layers) > 1 else 1.0
-        if margin > 1e-3:
+        pre_activations, h = [], x
+        for w, b in params.layers[:-1]:
+            pre_activations.append(h @ w.T + b)
+            h = np.maximum(pre_activations[-1], 0.0)
+        if all(np.abs(z).min() > 1e-3 for z in pre_activations):
             return x
     raise AssertionError("could not sample a kink-free input")
 

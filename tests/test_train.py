@@ -111,6 +111,8 @@ def test_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(InvalidInputError):
         TrainConfig(hidden_dims=(8, 0))
+    with pytest.raises(InvalidInputError, match="finite"):
+        TrainConfig(gamma0=float("inf"))
 
 
 def test_train_rejects_undersized_split():
