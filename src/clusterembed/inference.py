@@ -11,10 +11,16 @@ best-marginal-benefit selection and ``pam_refine`` improves it with
 medoid/member exchanges. ``brute_force_inference`` exhaustively solves
 small instances and exists for testing.
 
-Measured costs (m points, C medoids): greedy is O(C * m * (m + C * m))
-with the margin enabled and O(C * m^2) without; one refinement sweep is
-O(C * m * (m + C * m)) in the worst case. Everything here is sequential
-and deterministic: all argmax ties resolve to the smallest index.
+Costs (m points, C medoids, K classes): every greedy step and every medoid
+position of a refinement sweep is one scoring call over up to m
+candidates. Without the margin a call is O(m * (m + C)) array work. With
+it, the call also builds the (candidates, m) label matrix and scores it with
+one ``batched_margin`` call, O(m^2 + m * C * K) array work, then rescores
+through the scalar ``margin`` only the candidates within RESCORE_WINDOW of
+the best (usually one or a few), so that maxima and ties are exactly the
+scalar ones. Greedy makes C calls and a sweep at most C. Everything here
+is sequential and deterministic: all argmax ties resolve to the smallest
+index.
 """
 
 from __future__ import annotations
@@ -28,10 +34,17 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError
 from .facility import assign, facility_score
-from .metrics import margin
+from .metrics import batched_margin, margin
 
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_CAP = 10**6
+
+# Candidates whose batched score lies within RESCORE_WINDOW * (1 + |best| +
+# gamma) of the best batched score are rescored through the scalar margin.
+# A batched margin is off by a few ulps of 1, so a batched score is off by
+# about 1e-16 * (|score| + gamma): the window holds every candidate that can
+# be the exact maximum, and a wider one would only rescore more of them.
+RESCORE_WINDOW = 1e-9
 
 
 @dataclass
@@ -90,8 +103,15 @@ def _swap_scores(
     # or as close as the nearest of them and earlier in position order
     other_pos = (nearest + (nearest >= pos))[:, None]
     takes = (cand_dist < other_min) | ((cand_dist == other_min) & (pos < other_pos))
-    margins = [margin(labels, y_star) for labels in np.where(takes, pos, other_pos).T]
-    return facility + gamma * np.array(margins)
+    labels = np.where(takes, pos, other_pos).T
+    scores = facility + gamma * batched_margin(labels, y_star)
+    # the batched margins may differ from the scalar ones in the last bits;
+    # rescoring every candidate near the best through ``margin`` makes the
+    # returned maximum, its ties and its index exactly the scalar ones
+    best = scores.max()
+    near = np.flatnonzero(scores >= best - RESCORE_WINDOW * (1.0 + abs(best) + gamma))
+    scores[near] = facility[near] + gamma * np.array([margin(labels[i], y_star) for i in near])
+    return scores
 
 
 def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:

@@ -28,9 +28,31 @@ def _one_to_one(table: np.ndarray) -> bool:
     return cells == np.count_nonzero(table.any(axis=1)) == np.count_nonzero(table.any(axis=0))
 
 
+def _compact_ids(y: np.ndarray, limit: int) -> np.ndarray:
+    """Integer ids shifted to start at 0, so tables indexed by them need no
+    empty leading rows. Ids spread over more than ``limit`` values are
+    instead relabelled to 0..C-1 in sorted order, which keeps a table built
+    from them small whatever the ids are (``contingency_table`` allocates
+    one bin per possible id pair). Either way only empty table rows and
+    columns are dropped, so every count, and every sum over nonzero cells
+    in row-major order, keeps its bits."""
+    y = np.asarray(y, dtype=np.intp)
+    low = int(y.min())
+    if int(y.max()) - low < limit:
+        return y - low
+    return np.unique(y, return_inverse=True)[1].reshape(y.shape)
+
+
+def _compact_table(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """``contingency_table`` of the two label vectors' compacted ids."""
+    y1 = np.asarray(y1)
+    y2 = np.asarray(y2)
+    return contingency_table(_compact_ids(y1, y1.size), _compact_ids(y2, y2.size))
+
+
 def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
     """True when the two label vectors induce the same partition of indices."""
-    return _one_to_one(contingency_table(y1, y2))
+    return _one_to_one(_compact_table(y1, y2))
 
 
 def _entropy(counts: np.ndarray, m: int) -> float:
@@ -53,7 +75,7 @@ def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
         raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
     if y1.size == 0:
         raise InvalidInputError("labels must be nonempty")
-    joint = contingency_table(y1, y2)
+    joint = _compact_table(y1, y2)
     if _one_to_one(joint):
         return 1.0
     m = y1.size
@@ -74,6 +96,61 @@ def margin(y: np.ndarray, y_star: np.ndarray) -> float:
     """Structured margin 1 - NMI: 0 for a perfect clustering (up to label
     permutation), 1 for statistically independent assignments."""
     return 1.0 - nmi(y, y_star)
+
+
+def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
+    """``margin(row, y_star)`` for every row of an (n, m) label matrix.
+
+    One ``bincount`` counts the joint (row, label, true class) cells, and
+    the work after it touches only the nonzero cells, so one call costs
+    O(n * m) array work plus a table of n * C * K bins for C label ids and
+    K classes. Entropies and MI are the terms ``nmi`` computes, summed per
+    row by weighted ``bincount``; H(y_star) is computed once. A row that
+    induces the same partition as ``y_star`` scores exactly 0.0 and a row
+    or ``y_star`` with zero entropy scores 1.0 otherwise, as in ``nmi``.
+    The sums run in a different order from ``nmi``'s, so a row can differ
+    from the scalar ``margin`` in its last bits.
+    """
+    labels = np.asarray(labels)
+    y_star = np.asarray(y_star)
+    if labels.ndim != 2 or y_star.ndim != 1 or labels.shape[1] != y_star.size:
+        raise InvalidInputError(f"label shape mismatch: {labels.shape} vs {y_star.shape}")
+    n, m = labels.shape
+    if m == 0:
+        raise InvalidInputError("labels must be nonempty")
+    if n == 0:
+        return np.zeros(0)
+    truth = _compact_ids(y_star, m)
+    num_classes = int(truth.max()) + 1
+    rows = _compact_ids(labels, m)
+    num_ids = int(rows.max()) + 1
+    # cluster (r, c) of row r is id r * num_ids + c
+    clusters = rows + num_ids * np.arange(n)[:, None]
+    cell_ids = (clusters * num_classes + truth).ravel()
+    joint = np.bincount(cell_ids, minlength=n * num_ids * num_classes)
+    cells = np.flatnonzero(joint > 0)
+    counts = joint[cells]
+    cell_cluster, cell_class = np.divmod(cells, num_classes)
+    cell_row = cell_cluster // num_ids
+    sizes = np.bincount(clusters.ravel(), minlength=n * num_ids)
+    col = np.bincount(truth, minlength=num_classes)
+    # p_ij log(p_ij / (p_i p_j)) with p = count / m throughout
+    terms = counts / m * np.log(counts * m / (sizes[cell_cluster] * col[cell_class]))
+    mi = np.bincount(cell_row, weights=terms, minlength=n)
+    nonempty = np.flatnonzero(sizes > 0)
+    p = sizes[nonempty] / m
+    nonempty_row = nonempty // num_ids
+    h_rows = -np.bincount(nonempty_row, weights=p * np.log(p), minlength=n)
+    h_star = _entropy(col, m)
+    num_cells = np.bincount(cell_row, minlength=n)
+    same = (num_cells == np.bincount(nonempty_row, minlength=n)) & (
+        num_cells == np.count_nonzero(col)
+    )
+    scored = (h_rows != 0.0) & (h_star != 0.0)
+    nmi_rows = np.zeros(n)
+    nmi_rows[scored] = np.clip(mi[scored] / np.sqrt(h_rows[scored] * h_star), 0.0, 1.0)
+    nmi_rows[same] = 1.0
+    return 1.0 - nmi_rows
 
 
 def recall_at_k(

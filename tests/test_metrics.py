@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from clusterembed.embedding_ops import EmbeddingBatch
 from clusterembed.errors import InvalidInputError
-from clusterembed.metrics import contingency_table, margin, nmi, recall_at_k, same_partition
+from clusterembed.metrics import (
+    batched_margin,
+    contingency_table,
+    margin,
+    nmi,
+    recall_at_k,
+    same_partition,
+)
 
 from oracles import canonical_partition, nmi_oracle, recall_at_k_oracle
 
@@ -127,6 +134,63 @@ def test_margin_is_one_minus_nmi():
     y2 = np.array([0, 0, 1, 1])
     assert margin(y1, y2) == pytest.approx(1.0 - nmi(y1, y2), abs=0)
     assert margin(y2, y2) == 0.0
+
+
+def scalar_margins(labels, y_star):
+    return np.array([margin(row, y_star) for row in labels])
+
+
+def test_batched_margin_matches_scalar_margin():
+    """Random labelings whose ids skip values on both sides, one-cluster
+    rows, and relabelled copies of y_star, which must score exactly 0.0."""
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        n = int(rng.integers(1, 12))
+        y_star = rng.integers(0, rng.integers(1, 7), size=m) * int(rng.integers(1, 4))
+        y_star += int(rng.integers(0, 5))
+        labels = rng.integers(0, rng.integers(1, 9), size=(n, m)) * 3 + int(rng.integers(0, 4))
+        labels[0] = int(rng.integers(0, 9))
+        copies = rng.integers(0, n, size=2)
+        labels[copies] = rng.permutation(20)[y_star]
+        got = batched_margin(labels, y_star)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, scalar_margins(labels, y_star), rtol=0, atol=1e-12)
+        assert np.all(got[copies] == 0.0)
+
+
+def test_batched_margin_edge_shapes():
+    one_class = np.array([4, 4, 4, 4])
+    labels = np.array([[0, 0, 0, 0], [1, 1, 2, 2], [7, 7, 7, 7]])
+    got = batched_margin(labels, one_class)
+    assert got.tolist() == scalar_margins(labels, one_class).tolist() == [0.0, 1.0, 0.0]
+    assert batched_margin(np.array([[2, 5, 5]]), np.array([0, 1, 1])).tolist() == [0.0]
+    assert batched_margin(np.array([[2]]), np.array([9])).tolist() == [0.0]
+    empty = batched_margin(np.zeros((0, 3), dtype=int), np.array([0, 1, 1]))
+    assert empty.shape == (0,)
+    for labels, y_star in [
+        (np.zeros((2, 3), dtype=int), np.zeros(4, dtype=int)),
+        (np.zeros(3, dtype=int), np.zeros(3, dtype=int)),
+        (np.zeros((2, 3), dtype=int), np.zeros((1, 3), dtype=int)),
+        (np.zeros((2, 0), dtype=int), np.zeros(0, dtype=int)),
+    ]:
+        with pytest.raises(InvalidInputError):
+            batched_margin(labels, y_star)
+
+
+def test_large_label_ids_match_dense_ids():
+    """Ids near +-2**40 give the bits dense ids give, without a table sized
+    by the largest id."""
+    y1 = np.array([0, 0, 1, 2, 2, 2, 1])
+    y2 = np.array([1, 0, 0, 1, 2, 2, 2])
+    big1 = np.array([-(2**40), 2**40])[np.minimum(y1, 1)] + y1
+    big2 = 2**40 + 3 * y2
+    assert nmi(big1, big2) == nmi(y1, y2)
+    assert nmi(big1, y2) == nmi(y1, y2)
+    assert same_partition(big1, y1) and not same_partition(big1, big2)
+    labels = np.stack([y1, y2, y1 // 2])
+    big_labels = np.stack([big1, big2, 2**40 * (y1 // 2)])
+    assert batched_margin(big_labels, big2).tolist() == batched_margin(labels, y2).tolist()
 
 
 def test_recall_at_k_separated_clusters():
