@@ -17,22 +17,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import __version__
+from .cluster_loss import clustering_loss
 from .data import generate_gaussian, load_csv, sample_batch, save_csv, split_by_class
 from .embedding_ops import pairwise_distances
 from .errors import InstanceTooLargeError
-from .facility import oracle_score
-from .inference import brute_force_inference, greedy_inference, pam_refine
+from .inference import brute_force_inference
 from .metrics import margin
 from .mlp import forward, load_checkpoint, save_checkpoint
-from .train import TrainConfig, TrainRecord, evaluate_model, train
+from .train import LossKind, TrainConfig, TrainRecord, evaluate_model, train
 
-LOSS_KINDS = ("cluster", "triplet", "lifted", "npairs")
+LOSS_KINDS = get_args(LossKind)
 
 
 def positive_int(text: str) -> int:
@@ -77,11 +78,13 @@ def int_list(text: str) -> tuple[int, ...]:
 
 def loss_list(text: str) -> tuple[str, ...]:
     values = tuple(v.strip() for v in text.split(",") if v.strip())
-    for v in values:
+    for i, v in enumerate(values):
         if v not in LOSS_KINDS:
             raise argparse.ArgumentTypeError(
                 f"unknown loss {v!r}, choose from {', '.join(LOSS_KINDS)}"
             )
+        if v in values[:i]:
+            raise argparse.ArgumentTypeError(f"loss {v!r} is listed more than once")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one loss name")
     return values
@@ -147,28 +150,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _train_config(args: argparse.Namespace, loss: str) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        hidden_dims=args.hidden_dims,
-        embedding_dim=args.embedding_dim,
-        learning_rate=args.lr,
-        rms_decay=args.rms_decay,
-        rms_eps=args.rms_eps,
-        gamma0=args.gamma0,
-        gamma_decay_rate=args.gamma_decay_rate,
-        gamma_decay_interval=args.gamma_decay_interval or None,
-        refine_sweeps=args.refine_sweeps,
-        candidate_pool=args.candidate_pool,
-        class_ratio=args.class_ratio,
-        margin_alpha=args.alpha,
-        reg_lambda=args.reg_lambda,
-        loss_kind=loss,  # type: ignore[arg-type]
-        max_iterations=args.iterations,
-        train_fraction=args.train_fraction,
-        eval_interval=args.eval_interval,
-        recall_ks=args.recall_ks,
-        seed=args.seed,
-    )
+    """Each ``train`` flag's argparse dest is the name of its config field."""
+    values = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "loss_kind"}
+    values["gamma_decay_interval"] = args.gamma_decay_interval or None  # 0 derives the interval
+    return TrainConfig(**values, loss_kind=loss)
 
 
 def _suffixed(path: Path, tag: str, multi: bool) -> Path:
@@ -257,34 +242,28 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         dataset, tuple(dataset.classes), args.m, args.class_ratio, rng
     )
     batch, _ = forward(params, feats)
-    dist = pairwise_distances(batch)
+    out = clustering_loss(batch, labels, args.gamma, args.refine_sweeps, args.candidate_pool)
     num_classes = int(labels.max()) + 1
 
     print(f"batch: m={args.m} classes={num_classes} gamma={args.gamma}")
-    seed_result = greedy_inference(dist, labels, args.gamma)
     print("greedy selection (point, marginal gain, objective):")
     prev = 0.0
-    for step, (point, objective) in enumerate(zip(seed_result.medoids, seed_result.trace)):
+    for step, (point, objective) in enumerate(zip(out.greedy.medoids, out.greedy.trace)):
         gain = objective - prev if step else objective
         print(f"  step {step}: add {point:>4d} gain {gain:+.6f} A(S) {objective:.6f}")
         prev = objective
-    refined = pam_refine(
-        dist, labels, seed_result.medoids, args.gamma, args.refine_sweeps, args.candidate_pool
-    )
     print("refinement sweeps (objective is nondecreasing):")
-    for sweep, objective in enumerate(refined.trace):
+    for sweep, objective in enumerate(out.violator.trace):
         print(f"  sweep {sweep}: A(S) {objective:.6f}")
-    oracle_value, oracle_medoids = oracle_score(dist, labels)
-    hinge_arg = refined.objective - oracle_value
-    print(f"final medoids: {' '.join(str(i) for i in refined.medoids)}")
-    print(f"oracle medoids: {' '.join(str(i) for i in oracle_medoids)}")
-    print(f"oracle score: {oracle_value:.6f}")
-    print(f"margin of violator: {margin(refined.assignment, labels):.6f}")
-    print(f"hinge argument: {hinge_arg:.6f}")
-    print(f"loss: {max(0.0, hinge_arg):.6f}")
+    print(f"final medoids: {' '.join(str(i) for i in out.violator.medoids)}")
+    print(f"oracle medoids: {' '.join(str(i) for i in out.oracle_medoids)}")
+    print(f"oracle score: {out.oracle_value:.6f}")
+    print(f"margin of violator: {margin(out.violator.assignment, labels):.6f}")
+    print(f"hinge argument: {out.hinge_arg:.6f}")
+    print(f"loss: {out.value:.6f}")
     if args.brute_force:
         try:
-            exact = brute_force_inference(dist, labels, args.gamma)
+            exact = brute_force_inference(pairwise_distances(batch), labels, args.gamma)
         except InstanceTooLargeError as exc:
             print(f"brute force skipped: {exc}")
         else:
@@ -313,52 +292,54 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 
+    config = TrainConfig()
     tr = sub.add_parser("train", help="train one or more losses on a dataset")
     tr.add_argument("--data", required=True)
-    tr.add_argument("--loss", type=loss_list, default=("cluster",),
+    tr.add_argument("--loss", type=loss_list, default=(config.loss_kind,),
                     help="comma-separated subset of: " + ", ".join(LOSS_KINDS))
     tr.add_argument("--checkpoint", required=True)
     tr.add_argument("--metrics", default=None, help="JSON-lines metrics path")
-    tr.add_argument("--iterations", type=nonneg_int, default=1000)
-    tr.add_argument("--batch-size", type=positive_int, default=128)
-    tr.add_argument("--hidden-dims", type=int_list, default=(32, 32))
-    tr.add_argument("--embedding-dim", type=positive_int, default=16)
-    tr.add_argument("--lr", type=nonneg_float, default=1e-3)
-    tr.add_argument("--rms-decay", type=positive_float, default=0.9)
-    tr.add_argument("--rms-eps", type=positive_float, default=1e-8)
-    tr.add_argument("--gamma0", type=positive_float, default=1.0)
-    tr.add_argument("--gamma-decay-rate", type=positive_float, default=0.94)
-    tr.add_argument("--gamma-decay-interval", type=nonneg_int, default=0,
+    tr.add_argument("--iterations", dest="max_iterations", type=nonneg_int)
+    tr.add_argument("--batch-size", type=positive_int)
+    tr.add_argument("--hidden-dims", type=int_list)
+    tr.add_argument("--embedding-dim", type=positive_int)
+    tr.add_argument("--lr", dest="learning_rate", type=nonneg_float)
+    tr.add_argument("--rms-decay", type=positive_float)
+    tr.add_argument("--rms-eps", type=positive_float)
+    tr.add_argument("--gamma0", type=positive_float)
+    tr.add_argument("--gamma-decay-rate", type=positive_float)
+    tr.add_argument("--gamma-decay-interval", type=nonneg_int,
                     help="0 derives one pass over the train classes")
-    tr.add_argument("--refine-sweeps", type=positive_int, default=5)
-    tr.add_argument("--candidate-pool", choices=("cluster", "all"), default="cluster")
-    tr.add_argument("--class-ratio", type=positive_float, default=0.25)
-    tr.add_argument("--alpha", type=positive_float, default=1.0)
-    tr.add_argument("--reg-lambda", type=nonneg_float, default=1e-3)
-    tr.add_argument("--train-fraction", type=positive_float, default=0.5)
-    tr.add_argument("--eval-interval", type=positive_int, default=100)
-    tr.add_argument("--recall-ks", type=int_list, default=(1, 2, 4, 8))
-    tr.add_argument("--seed", type=nonneg_int, default=0)
-    tr.set_defaults(func=cmd_train)
+    tr.add_argument("--refine-sweeps", type=positive_int)
+    tr.add_argument("--candidate-pool", choices=("cluster", "all"))
+    tr.add_argument("--class-ratio", type=positive_float)
+    tr.add_argument("--alpha", dest="margin_alpha", type=positive_float)
+    tr.add_argument("--reg-lambda", type=nonneg_float)
+    tr.add_argument("--train-fraction", type=positive_float)
+    tr.add_argument("--eval-interval", type=positive_int)
+    tr.add_argument("--recall-ks", type=int_list)
+    tr.add_argument("--seed", type=nonneg_int)
+    # each dest above names a TrainConfig field, which supplies its default
+    tr.set_defaults(func=cmd_train, **asdict(config))
 
     ev = sub.add_parser("evaluate", help="evaluate a checkpoint on held-out classes")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--split-seed", type=nonneg_int, default=0)
-    ev.add_argument("--train-fraction", type=positive_float, default=0.5)
-    ev.add_argument("--recall-ks", type=int_list, default=(1, 2, 4, 8))
-    ev.add_argument("--refine-sweeps", type=positive_int, default=5)
+    ev.add_argument("--split-seed", type=nonneg_int, default=config.seed)
+    ev.add_argument("--train-fraction", type=positive_float, default=config.train_fraction)
+    ev.add_argument("--recall-ks", type=int_list, default=config.recall_ks)
+    ev.add_argument("--refine-sweeps", type=positive_int, default=config.refine_sweeps)
     ev.set_defaults(func=cmd_evaluate)
 
     ins = sub.add_parser("inspect", help="trace the inference on one sampled batch")
     ins.add_argument("--checkpoint", required=True)
     ins.add_argument("--data", required=True)
     ins.add_argument("--m", type=positive_int, default=16)
-    ins.add_argument("--class-ratio", type=positive_float, default=0.25)
+    ins.add_argument("--class-ratio", type=positive_float, default=config.class_ratio)
     ins.add_argument("--batch-seed", type=nonneg_int, default=0)
-    ins.add_argument("--gamma", type=nonneg_float, default=1.0)
-    ins.add_argument("--refine-sweeps", type=positive_int, default=5)
-    ins.add_argument("--candidate-pool", choices=("cluster", "all"), default="cluster")
+    ins.add_argument("--gamma", type=nonneg_float, default=config.gamma0)
+    ins.add_argument("--refine-sweeps", type=positive_int, default=config.refine_sweeps)
+    ins.add_argument("--candidate-pool", choices=("cluster", "all"), default=config.candidate_pool)
     ins.add_argument("--brute-force", action="store_true")
     ins.set_defaults(func=cmd_inspect)
     return parser

@@ -25,20 +25,25 @@ import numpy as np
 
 from .embedding_ops import ZERO_NORM_TOL, EmbeddingBatch, pairwise_distances
 from .facility import oracle_score
-from .inference import greedy_inference, pam_refine
+from .inference import InferenceResult, greedy_inference, pam_refine
 from .metrics import margin
 
 
 @dataclass
 class LossOutput:
-    """Loss value, subgradient, and inference diagnostics for one batch."""
+    """Loss value, subgradient, and inference diagnostics for one batch.
+
+    ``greedy`` is the greedy seed and ``violator`` the refined most-violating
+    medoid set; ``hinge_arg`` is ``violator.objective - oracle_value``.
+    """
 
     value: float
     hinge_arg: float
     grad: np.ndarray
-    medoids: tuple[int, ...]
+    greedy: InferenceResult
+    violator: InferenceResult
+    oracle_value: float
     oracle_medoids: tuple[int, ...]
-    assignment: np.ndarray
     margin_value: float
 
 
@@ -98,8 +103,9 @@ def clustering_loss(
         value=value,
         hinge_arg=hinge_arg,
         grad=grad,
-        medoids=refined.medoids,
+        greedy=seed,
+        violator=refined,
+        oracle_value=oracle_value,
         oracle_medoids=oracle_medoids,
-        assignment=refined.assignment,
         margin_value=margin_value,
     )

@@ -158,6 +158,12 @@ def split_by_class(dataset: Dataset, fraction: float, seed: int) -> SplitSpec:
     return SplitSpec(train_classes=tuple(shuffled[:cut]), test_classes=tuple(shuffled[cut:]))
 
 
+def batch_class_count(m: int, class_ratio: float) -> int:
+    """Number of classes a batch of m examples draws: round(class_ratio * m),
+    halves rounded up."""
+    return int(np.floor(class_ratio * m + 0.5))
+
+
 def sample_batch(
     dataset: Dataset,
     train_classes: tuple[int, ...],
@@ -173,7 +179,7 @@ def sample_batch(
     violating the guard (fewer than 2 distinct labels, or no label with 2+
     members) are redrawn up to a bounded number of times.
     """
-    num_batch_classes = int(np.floor(class_ratio * m + 0.5))
+    num_batch_classes = batch_class_count(m, class_ratio)
     if num_batch_classes < 2:
         raise InvalidInputError(
             f"class_ratio * m gives {num_batch_classes} classes per batch, need at least 2"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import lifted_struct_loss, npairs_loss, triplet_semihard_loss
 from .cluster_loss import clustering_loss
-from .data import Dataset, sample_batch, split_by_class
+from .data import Dataset, batch_class_count, sample_batch, split_by_class
 from .embedding_ops import EmbeddingBatch, pairwise_distances
 from .errors import InvalidInputError
 from .inference import greedy_inference, pam_refine
@@ -70,7 +70,6 @@ class TrainConfig:
         positive = {
             "batch_size": self.batch_size,
             "embedding_dim": self.embedding_dim,
-            "learning_rate_plus_one": self.learning_rate + 1.0,  # lr 0 allowed
             "rms_decay": self.rms_decay,
             "rms_eps": self.rms_eps,
             "gamma0": self.gamma0,
@@ -85,8 +84,8 @@ class TrainConfig:
                 raise InvalidInputError(f"{name} must be positive, got {value}")
         if self.learning_rate < 0 or self.reg_lambda < 0 or self.max_iterations < 0:
             raise InvalidInputError("learning rate, lambda, and iteration count are nonnegative")
-        if self.class_ratio * self.batch_size < 2:
-            raise InvalidInputError("class_ratio * batch_size must be at least 2")
+        if self.classes_per_batch < 2:
+            raise InvalidInputError("class_ratio * batch_size must round to at least 2 classes")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidInputError("train_fraction must lie in (0, 1)")
         if self.gamma_decay_interval is not None and self.gamma_decay_interval < 1:
@@ -98,7 +97,7 @@ class TrainConfig:
 
     @property
     def classes_per_batch(self) -> int:
-        return int(np.floor(self.class_ratio * self.batch_size + 0.5))
+        return batch_class_count(self.batch_size, self.class_ratio)
 
     @property
     def normalize_embeddings(self) -> bool:
@@ -155,12 +154,14 @@ def evaluate_embeddings(
     refine_sweeps: int = 5,
 ) -> tuple[float, dict[int, float]]:
     """NMI of facility-location clustering at gamma = 0 (greedy, then swap
-    refinement) against the labels, and Recall@K for each K."""
+    refinement) against the labels, and Recall@K for each K.
+
+    Recall runs first, so an out-of-range K fails before the clustering."""
+    recalls = recall_at_k(batch, labels, recall_ks)
     dist = pairwise_distances(batch)
     seed_result = greedy_inference(dist, labels, gamma=0.0)
     refined = pam_refine(dist, labels, seed_result.medoids, gamma=0.0, max_sweeps=refine_sweeps)
-    score = nmi(refined.assignment, labels)
-    return score, recall_at_k(batch, labels, recall_ks)
+    return nmi(refined.assignment, labels), recalls
 
 
 def evaluate_model(

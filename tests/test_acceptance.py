@@ -226,7 +226,7 @@ def test_criterion_05_gradients_match_finite_differences():
         gamma = (0.5, 2.0)[i % 2]
 
         out = clustering_loss(EmbeddingBatch(emb), labels, gamma)
-        violator_attach = np.asarray(out.medoids)[out.assignment]
+        violator_attach = np.asarray(out.violator.medoids)[out.violator.assignment]
         oracle_attach = np.asarray(out.oracle_medoids)[labels]
         bonus = gamma * out.margin_value
 

@@ -1,10 +1,17 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from clusterembed.cli import main
-from clusterembed.mlp import init_params, load_checkpoint, save_checkpoint
+from clusterembed.cli import _train_config, build_parser, main
+from clusterembed.data import load_csv, sample_batch
+from clusterembed.embedding_ops import pairwise_distances
+from clusterembed.facility import oracle_score
+from clusterembed.inference import greedy_inference, pam_refine
+from clusterembed.metrics import margin
+from clusterembed.mlp import forward, init_params, load_checkpoint, save_checkpoint
+from clusterembed.train import TrainConfig
 
 
 @pytest.fixture
@@ -191,8 +198,10 @@ def test_evaluate_bad_input_file_fails_cleanly(tmp_path, data_csv, capsys, fault
         ("--class-ratio", "inf", 2, "finite"),
         ("--lr", "nan", 2, "finite"),
         ("--alpha", "nan", 2, "finite"),
+        ("--loss", "cluster,npairs,cluster", 2, "'cluster' is listed more than once"),
     ],
-    ids=["train-fraction", "recall-ks", "hidden-dims", "class-ratio-inf", "lr-nan", "alpha-nan"],
+    ids=["train-fraction", "recall-ks", "hidden-dims", "class-ratio-inf", "lr-nan", "alpha-nan",
+         "loss-repeated"],
 )
 def test_train_bad_setting_fails_before_training(tmp_path, capsys, flag, value, code, named):
     # 6 classes of 5 points: 0.9 holds out no class, 15 held-out points rank
@@ -243,6 +252,86 @@ def test_inspect_traces_inference(tmp_path, data_csv, capsys):
     assert "oracle medoids:" in out
     assert "hinge argument:" in out
     assert "brute-force optimum:" in out
+
+
+TRAIN_FLAGS = {
+    # flag: (value, field, parsed value)
+    "--iterations": ("7", "max_iterations", 7),
+    "--batch-size": ("9", "batch_size", 9),
+    "--hidden-dims": ("5,6", "hidden_dims", (5, 6)),
+    "--embedding-dim": ("3", "embedding_dim", 3),
+    "--lr": ("0.5", "learning_rate", 0.5),
+    "--rms-decay": ("0.8", "rms_decay", 0.8),
+    "--rms-eps": ("1e-6", "rms_eps", 1e-6),
+    "--gamma0": ("2.5", "gamma0", 2.5),
+    "--gamma-decay-rate": ("0.5", "gamma_decay_rate", 0.5),
+    "--gamma-decay-interval": ("4", "gamma_decay_interval", 4),
+    "--refine-sweeps": ("2", "refine_sweeps", 2),
+    "--candidate-pool": ("all", "candidate_pool", "all"),
+    "--class-ratio": ("0.5", "class_ratio", 0.5),
+    "--alpha": ("0.3", "margin_alpha", 0.3),
+    "--reg-lambda": ("0.01", "reg_lambda", 0.01),
+    "--train-fraction": ("0.6", "train_fraction", 0.6),
+    "--eval-interval": ("11", "eval_interval", 11),
+    "--recall-ks": ("1,3", "recall_ks", (1, 3)),
+    "--seed": ("13", "seed", 13),
+}
+
+
+def test_train_flags_map_onto_config_fields():
+    base = ["train", "--data", "d", "--checkpoint", "c"]
+    parser = build_parser()
+    assert _train_config(parser.parse_args(base), "cluster") == TrainConfig()
+    assert _train_config(parser.parse_args(base), "npairs") == TrainConfig(loss_kind="npairs")
+    fields_reached = {"loss_kind"}
+    for flag, (text, field, value) in TRAIN_FLAGS.items():
+        config = _train_config(parser.parse_args([*base, flag, text]), "cluster")
+        assert getattr(config, field) == value, flag
+        assert getattr(config, field) != getattr(TrainConfig(), field), flag
+        fields_reached.add(field)
+    assert fields_reached == {f.name for f in fields(TrainConfig)}
+
+
+def test_inspect_prints_the_loss_of_direct_inference(tmp_path, capsys):
+    # noisy blobs and an untrained model: on this batch the candidate pool
+    # and the sweep count each change the refined medoids
+    data_csv = tmp_path / "noisy.csv"
+    gen = ["generate", "--classes", "10", "--per-class", "8", "--dim", "3", "--std", "6.0"]
+    assert main([*gen, "--out", str(data_csv)]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params([3, 8, 4], True, np.random.default_rng(0)), ckpt)
+    capsys.readouterr()
+    m, batch_seed, gamma, sweeps, pool = 16, 7, 0.5, 1, "all"
+    code = main(
+        ["inspect", "--checkpoint", str(ckpt), "--data", str(data_csv), "--m", str(m),
+         "--batch-seed", str(batch_seed), "--gamma", str(gamma),
+         "--refine-sweeps", str(sweeps), "--candidate-pool", pool]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = dict(line.split(": ", 1) for line in lines if ": " in line and line[0] != " ")
+    steps = [line.split()[3] for line in lines if line.startswith("  step")]
+    sweeps_printed = [line.split()[-1] for line in lines if line.startswith("  sweep")]
+
+    dataset = load_csv(data_csv)
+    feats, labels = sample_batch(
+        dataset, tuple(dataset.classes), m, 0.25, np.random.default_rng(batch_seed)
+    )
+    batch, _ = forward(load_checkpoint(ckpt), feats)
+    dist = pairwise_distances(batch)
+    seed = greedy_inference(dist, labels, gamma)
+    refined = pam_refine(dist, labels, seed.medoids, gamma, sweeps, pool)
+    oracle_value, oracle_medoids = oracle_score(dist, labels)
+    hinge_arg = refined.objective - oracle_value
+
+    assert steps == [str(i) for i in seed.medoids]
+    assert sweeps_printed == [f"{v:.6f}" for v in refined.trace]
+    assert printed["final medoids"] == " ".join(map(str, refined.medoids))
+    assert printed["oracle medoids"] == " ".join(map(str, oracle_medoids))
+    assert printed["oracle score"] == f"{oracle_value:.6f}"
+    assert printed["margin of violator"] == f"{margin(refined.assignment, labels):.6f}"
+    assert printed["hinge argument"] == f"{hinge_arg:.6f}"
+    assert printed["loss"] == f"{max(0.0, hinge_arg):.6f}"
 
 
 def test_version_flag(capsys):

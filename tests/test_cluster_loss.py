@@ -82,7 +82,7 @@ def test_loss_value_is_clipped_hinge_argument():
         assert out.value >= 0.0
         assert 0.0 <= out.margin_value <= 1.0
         assert len(out.oracle_medoids) == len(set(y.tolist()))
-        assert len(out.medoids) == len(set(y.tolist()))
+        assert len(out.violator.medoids) == len(set(y.tolist()))
 
 
 def test_loss_gradient_matches_frozen_structure_finite_differences():
@@ -94,7 +94,7 @@ def test_loss_gradient_matches_frozen_structure_finite_differences():
         if base.hinge_arg <= 0.0:
             continue
         active += 1
-        violator_attach = np.asarray(base.medoids)[base.assignment]
+        violator_attach = np.asarray(base.violator.medoids)[base.violator.assignment]
         oracle_attach = np.asarray(base.oracle_medoids)[y]
 
         def frozen(e):
@@ -135,4 +135,4 @@ def test_loss_deterministic():
     b = clustering_loss(EmbeddingBatch(emb), y, gamma=1.0)
     assert a.value == b.value
     assert np.array_equal(a.grad, b.grad)
-    assert a.medoids == b.medoids
+    assert a.violator.medoids == b.violator.medoids

@@ -4,7 +4,9 @@ import pytest
 from clusterembed.data import generate_gaussian, split_by_class
 from clusterembed.errors import InvalidInputError
 from clusterembed.mlp import save_checkpoint
-from clusterembed.train import TrainConfig, evaluate_model, heldout_rows, train
+from clusterembed import train as train_module
+from clusterembed.embedding_ops import EmbeddingBatch
+from clusterembed.train import TrainConfig, evaluate_embeddings, evaluate_model, heldout_rows, train
 
 TINY = dict(
     batch_size=8,
@@ -101,7 +103,7 @@ def test_zero_noise_task_reaches_perfect_nmi():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         TrainConfig(loss_kind="contrastive")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="round to at least 2 classes"):
         TrainConfig(batch_size=4, class_ratio=0.25)  # only 1 class per batch
     with pytest.raises(InvalidInputError):
         TrainConfig(train_fraction=1.5)
@@ -109,10 +111,31 @@ def test_config_validation():
         TrainConfig(gamma_decay_rate=0.0)
     with pytest.raises(InvalidInputError):
         TrainConfig(learning_rate=-0.1)
+    with pytest.raises(InvalidInputError, match="^learning rate, lambda, and iteration count"):
+        TrainConfig(learning_rate=-2)
     with pytest.raises(InvalidInputError):
         TrainConfig(hidden_dims=(8, 0))
     with pytest.raises(InvalidInputError, match="finite"):
         TrainConfig(gamma0=float("inf"))
+
+
+def test_class_count_check_matches_the_sampler():
+    # 0.25 * 6 = 1.5 rounds to the 2 classes the sampler draws
+    config = TrainConfig(max_iterations=1, **{**TINY, "batch_size": 6})
+    assert config.classes_per_batch == 2
+    _, records = train(config, tiny_dataset())
+    assert len(records) == 1 and np.isfinite(records[0].loss)
+
+
+def test_evaluate_checks_recall_k_before_clustering(monkeypatch):
+    def no_clustering(*args, **kwargs):
+        raise AssertionError("clustering ran before the K check")
+
+    monkeypatch.setattr(train_module, "greedy_inference", no_clustering)
+    rng = np.random.default_rng(5)
+    batch = EmbeddingBatch(rng.normal(size=(6, 2)))
+    with pytest.raises(InvalidInputError, match="k must be in"):
+        evaluate_embeddings(batch, np.array([0, 0, 1, 1, 2, 2]), (1, 6))
 
 
 def test_train_rejects_undersized_split():
