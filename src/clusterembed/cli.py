@@ -28,7 +28,7 @@ from .cluster_loss import clustering_loss
 from .data import generate_gaussian, load_csv, sample_batch, save_csv, split_by_class
 from .embedding_ops import pairwise_distances
 from .errors import InstanceTooLargeError
-from .inference import brute_force_inference
+from .inference import CandidatePool, brute_force_inference
 from .metrics import margin
 from .mlp import forward, load_checkpoint, save_checkpoint
 from .train import LossKind, TrainConfig, TrainRecord, evaluate_model, train
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--gamma-decay-interval", type=nonneg_int,
                     help="0 derives one pass over the train classes")
     tr.add_argument("--refine-sweeps", type=positive_int)
-    tr.add_argument("--candidate-pool", choices=("cluster", "all"))
+    tr.add_argument("--candidate-pool", choices=get_args(CandidatePool))
     tr.add_argument("--class-ratio", type=positive_float)
     tr.add_argument("--alpha", dest="margin_alpha", type=positive_float)
     tr.add_argument("--reg-lambda", type=nonneg_float)
@@ -339,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument("--batch-seed", type=nonneg_int, default=0)
     ins.add_argument("--gamma", type=nonneg_float, default=config.gamma0)
     ins.add_argument("--refine-sweeps", type=positive_int, default=config.refine_sweeps)
-    ins.add_argument("--candidate-pool", choices=("cluster", "all"), default=config.candidate_pool)
+    ins.add_argument(
+        "--candidate-pool", choices=get_args(CandidatePool), default=config.candidate_pool
+    )
     ins.add_argument("--brute-force", action="store_true")
     ins.set_defaults(func=cmd_inspect)
     return parser

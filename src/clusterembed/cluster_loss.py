@@ -19,13 +19,13 @@ the two facility scores through the embedding distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .embedding_ops import ZERO_NORM_TOL, EmbeddingBatch, pairwise_distances
 from .facility import oracle_score
-from .inference import InferenceResult, greedy_inference, pam_refine
+from .inference import CandidatePool, InferenceResult, greedy_inference, pam_refine
 from .metrics import margin
 
 
@@ -71,7 +71,7 @@ def clustering_loss(
     y_star: np.ndarray,
     gamma: float,
     max_sweeps: int = 5,
-    candidate_pool: Literal["cluster", "all"] = "cluster",
+    candidate_pool: CandidatePool = "cluster",
 ) -> LossOutput:
     """Evaluate the structured clustering loss and its subgradient.
 

@@ -24,6 +24,9 @@ from .errors import CsvParseError, InvalidInputError, PathologicalBatchError
 
 SAMPLER_MAX_RETRIES = 32
 
+# Class ids are stored as numpy index integers.
+MAX_LABEL = int(np.iinfo(np.intp).max)
+
 
 @dataclass
 class Dataset:
@@ -127,8 +130,8 @@ def load_csv(path: str | Path) -> Dataset:
             label = int(fields[0])
         except ValueError:
             raise CsvParseError(lineno, f"label {fields[0]!r} is not an integer") from None
-        if label < 0:
-            raise CsvParseError(lineno, f"label {label} is negative")
+        if not 0 <= label <= MAX_LABEL:
+            raise CsvParseError(lineno, f"label {label} is outside [0, {MAX_LABEL}]")
         try:
             rows.append([float(v) for v in fields[1:]])
         except ValueError:

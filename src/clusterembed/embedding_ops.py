@@ -61,7 +61,8 @@ def pairwise_distances(batch: EmbeddingBatch) -> np.ndarray:
     Computed from explicit row differences (not the dot-product identity),
     which makes the result exactly symmetric with an exactly zero diagonal.
     """
-    return np.sqrt(pairwise_squared_distances(batch))
+    squared = pairwise_squared_distances(batch)
+    return np.sqrt(squared, out=squared)
 
 
 def pairwise_squared_distances(batch: EmbeddingBatch) -> np.ndarray:

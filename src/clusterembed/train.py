@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .cluster_loss import clustering_loss
 from .data import Dataset, batch_class_count, sample_batch, split_by_class
 from .embedding_ops import EmbeddingBatch, pairwise_distances
 from .errors import InvalidInputError
-from .inference import greedy_inference, pam_refine
+from .inference import CandidatePool, greedy_inference, pam_refine
 from .metrics import nmi, recall_at_k
 from .mlp import MlpParams, backward, forward, init_params
 from .optim import RmsState, gamma_at, rmsprop_step
@@ -49,7 +49,7 @@ class TrainConfig:
     gamma_decay_rate: float = 0.94
     gamma_decay_interval: int | None = None  # None: one sampler pass over train classes
     refine_sweeps: int = 5
-    candidate_pool: Literal["cluster", "all"] = "cluster"
+    candidate_pool: CandidatePool = "cluster"
     class_ratio: float = 0.25
     margin_alpha: float = 1.0
     reg_lambda: float = 1e-3
@@ -61,8 +61,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.loss_kind not in ("cluster", "triplet", "lifted", "npairs"):
+        if self.loss_kind not in get_args(LossKind):
             raise InvalidInputError(f"unknown loss kind {self.loss_kind!r}")
+        if self.candidate_pool not in get_args(CandidatePool):
+            raise InvalidInputError(f"unknown candidate pool {self.candidate_pool!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
@@ -154,11 +156,12 @@ def evaluate_embeddings(
     refine_sweeps: int = 5,
 ) -> tuple[float, dict[int, float]]:
     """NMI of facility-location clustering at gamma = 0 (greedy, then swap
-    refinement) against the labels, and Recall@K for each K.
+    refinement) against the labels, and Recall@K for each K, both read from
+    one distance matrix.
 
     Recall runs first, so an out-of-range K fails before the clustering."""
-    recalls = recall_at_k(batch, labels, recall_ks)
     dist = pairwise_distances(batch)
+    recalls = recall_at_k(dist, labels, recall_ks)
     seed_result = greedy_inference(dist, labels, gamma=0.0)
     refined = pam_refine(dist, labels, seed_result.medoids, gamma=0.0, max_sweeps=refine_sweeps)
     return nmi(refined.assignment, labels), recalls

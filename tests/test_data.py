@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterembed.data import (
@@ -190,3 +192,41 @@ def test_sample_batch_errors():
     with pytest.raises(PathologicalBatchError):
         # m == classes per batch: every batch is all-singletons
         sample_batch(ds, (0, 1, 2, 3), m=2, class_ratio=1.0, rng=rng)
+
+
+@st.composite
+def csv_texts(draw):
+    """Arbitrary text, or a header and rows that are mostly well formed."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text())
+
+    def sometimes(usual, *faults):
+        pick = draw(st.integers(0, 24))
+        return faults[pick] if pick < len(faults) else usual
+
+    dim = draw(st.integers(1, 3))
+    header = "label," + ",".join(f"f{i}" for i in range(dim))
+    lines = [sometimes(header, "label", "label,f1", "f0,label", "")]
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    for _ in range(draw(st.integers(0, 4))):
+        label = sometimes(str(draw(st.integers(0, 50))), "-1", "", " 7 ", "1.0", str(2**63))
+        cells = [draw(floats) for _ in range(sometimes(dim, dim - 1, dim + 1))]
+        if cells:
+            cells[-1] = sometimes(cells[-1], "nan", "-inf", "1e999", "x", "")
+        lines.append(sometimes(",".join([label, *cells]), draw(st.text(max_size=8))))
+    return "\n".join(lines) + sometimes("\n", "", "\r\n", "\n\n")
+
+
+@settings(deadline=None, max_examples=300)
+@given(csv_texts())
+@example(f"label,f0\n{2**63},1.0\n")
+def test_load_csv_of_any_text_gives_a_dataset_or_names_the_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        ds = load_csv(path)
+    except (CsvParseError, InvalidInputError) as exc:
+        assert re.match(r"line \d+: ", str(exc)), str(exc)
+    else:
+        assert ds.features.ndim == 2 and ds.labels.shape == (ds.num_examples,)
+        assert np.isfinite(ds.features).all() and (ds.labels >= 0).all()

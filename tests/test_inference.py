@@ -6,6 +6,7 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score
 from clusterembed.inference import (
+    _nearest_other,
     _swap_scores,
     augmented_objective,
     brute_force_inference,
@@ -149,6 +150,14 @@ def test_pam_validation():
         pam_refine(dist, y, (0, 3), 0.0, 0)  # no sweeps
     with pytest.raises(InvalidInputError):
         pam_refine(dist, y, (0, 3), 0.0, 5, "everything")
+    asymmetric = dist.copy()
+    asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], np.inf)
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        pam_refine(asymmetric, y, (0, 3), 0.0, 5)
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        greedy_inference(asymmetric, y, 0.0)
+    with pytest.raises(InvalidInputError, match="square"):
+        greedy_inference(dist[:, :3], y, 0.0)
 
 
 def test_brute_force_tiny_enumeration():
@@ -223,6 +232,35 @@ def test_batched_candidate_scoring_matches_reference_loops():
         )
 
 
+@pytest.mark.parametrize(
+    "m,num_classes,gamma,rounded",
+    [(129, 4, 0.0, False), (129, 4, 0.0, True), (1280, 32, 0.0, False), (129, 32, 1.0, False)],
+    ids=["m129", "m129-ties", "m1280", "m129-gamma1"],
+)
+def test_candidate_scoring_matches_reference_loops_at_evaluation_scale(
+    m, num_classes, gamma, rounded
+):
+    """Above numpy's 128-element pairwise-summation block, a different
+    summation order would change the last bits of a facility score; greedy
+    and both refinement pools still equal the per-candidate loops under
+    ``==``. The instances are Gaussian blobs like the held-out data."""
+    rng = np.random.default_rng(m + num_classes)
+    y = np.arange(m) % num_classes
+    emb = 3.0 * rng.normal(size=(num_classes, 16))[y] + rng.normal(size=(m, 16))
+    if rounded:
+        emb = np.round(emb)
+    dist = pairwise_distances(EmbeddingBatch(emb))
+    seed = greedy_reference(dist, y, gamma)
+    instance = (m, num_classes, gamma, rounded)
+    assert_same_result(greedy_inference(dist, y, gamma), seed, instance)
+    for pool in ("cluster", "all"):
+        assert_same_result(
+            pam_refine(dist, y, seed.medoids, gamma, 5, pool),
+            pam_refine_reference(dist, y, seed.medoids, gamma, 5, pool),
+            (*instance, pool),
+        )
+
+
 def test_rescoring_near_best_candidates_keeps_results_exact(monkeypatch):
     """Candidate scores come from ``batched_margin``, whose last bits may
     differ from the scalar ``margin``; the candidates near the best are
@@ -256,7 +294,8 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
         pos = int(rng.integers(0, len(medoids) + 1))
         cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
         for gamma in (0.0, 0.5):
-            scores = _swap_scores(dist, y, gamma, medoids, pos, cands)
+            nearest = _nearest_other(dist, medoids, pos)
+            scores = _swap_scores(dist, y, gamma, pos, cands, *nearest)
             for cand, score in zip(cands, scores):
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
                 want = augmented_objective(dist, swapped, y, gamma)

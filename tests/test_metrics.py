@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterembed.embedding_ops import EmbeddingBatch
+from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
 from clusterembed.metrics import (
     batched_margin,
@@ -198,23 +198,23 @@ def test_recall_at_k_separated_clusters():
         np.array([[0.0, 0], [0.1, 0], [10.0, 0], [10.1, 0]])
     )
     labels = np.array([0, 0, 1, 1])
-    assert recall_at_k(emb, labels, (1, 3)) == {1: 1.0, 3: 1.0}
+    assert recall_at_k(pairwise_distances(emb), labels, (1, 3)) == {1: 1.0, 3: 1.0}
 
 
 def test_recall_at_k_singleton_class_cannot_hit():
     emb = EmbeddingBatch(np.array([[0.0], [1.0], [2.0]]))
     labels = np.array([0, 0, 1])
     # the singleton at 2.0 has no same-class neighbor anywhere
-    recalls = recall_at_k(emb, labels, (1, 2))
+    recalls = recall_at_k(pairwise_distances(emb), labels, (1, 2))
     assert recalls[1] == pytest.approx(2 / 3)
     assert recalls[2] == pytest.approx(2 / 3)
 
 
 def test_recall_at_k_distance_tie_breaks_by_index():
     # point 1 is equidistant from 0 and 2; index order puts 0 first
-    emb = EmbeddingBatch(np.array([[0.0], [1.0], [2.0]]))
-    assert recall_at_k(emb, np.array([0, 0, 1]), (1,))[1] == pytest.approx(2 / 3)
-    assert recall_at_k(emb, np.array([1, 0, 0]), (1,))[1] == pytest.approx(1 / 3)
+    dist = pairwise_distances(EmbeddingBatch(np.array([[0.0], [1.0], [2.0]])))
+    assert recall_at_k(dist, np.array([0, 0, 1]), (1,))[1] == pytest.approx(2 / 3)
+    assert recall_at_k(dist, np.array([1, 0, 0]), (1,))[1] == pytest.approx(1 / 3)
 
 
 def test_recall_at_k_matches_oracle():
@@ -224,26 +224,51 @@ def test_recall_at_k_matches_oracle():
         emb = rng.normal(size=(m, 3))
         labels = rng.integers(0, 3, size=m)
         ks = (1, 2, m - 1)
-        got = recall_at_k(EmbeddingBatch(emb), labels, ks)
+        got = recall_at_k(pairwise_distances(EmbeddingBatch(emb)), labels, ks)
         assert set(got) == set(ks)
         for k, value in got.items():
             assert type(value) is float
             assert value == pytest.approx(recall_at_k_oracle(emb, labels, k), abs=0)
 
 
+def test_recall_at_k_partial_ranking_matches_oracle_on_ties():
+    """Integer-rounded and duplicated points put many neighbors at the
+    largest K's distance; every point tied there is ranked by (distance,
+    index), which must give the oracle's full stable sort for every K."""
+    rng = np.random.default_rng(16)
+    for trial in range(30):
+        m = int(rng.integers(4, 40))
+        emb = np.round(rng.normal(scale=1.0 + trial % 3, size=(m, 2)))
+        copies = rng.integers(0, m, size=m // 3)
+        emb[rng.integers(0, m, size=copies.size)] = emb[copies]
+        labels = rng.integers(0, 2 + trial % 3, size=m)
+        dist = pairwise_distances(EmbeddingBatch(emb))
+        before = dist.copy()
+        want = {k: recall_at_k_oracle(emb, labels, k) for k in range(1, m)}
+        for top in sorted({1, 2, 3, m // 2, m - 1}):
+            got = recall_at_k(dist, labels, tuple(range(1, top + 1)))
+            assert np.array_equal(dist, before)
+            assert list(got) == list(range(1, top + 1))
+            for k, value in got.items():
+                assert type(value) is float
+                assert value == want[k], (trial, top, k)
+
+
 def test_recall_at_k_full_neighborhood_with_paired_classes():
     rng = np.random.default_rng(15)
     emb = EmbeddingBatch(rng.normal(size=(8, 2)))
     labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-    assert recall_at_k(emb, labels, (7,)) == {7: 1.0}
+    assert recall_at_k(pairwise_distances(emb), labels, (7,)) == {7: 1.0}
 
 
 def test_recall_at_k_bounds():
     emb = EmbeddingBatch(np.zeros((4, 2)))
     labels = np.array([0, 0, 1, 1])
     with pytest.raises(InvalidInputError):
-        recall_at_k(emb, labels, (0,))
+        recall_at_k(pairwise_distances(emb), labels, (0,))
     with pytest.raises(InvalidInputError):
-        recall_at_k(emb, labels, (4,))
+        recall_at_k(pairwise_distances(emb), labels, (4,))
     with pytest.raises(InvalidInputError):
-        recall_at_k(emb, labels, (1, 4))
+        recall_at_k(pairwise_distances(emb), labels, (1, 4))
+    with pytest.raises(InvalidInputError, match="does not match"):
+        recall_at_k(pairwise_distances(emb), labels[:3], (1,))

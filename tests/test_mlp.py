@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clusterembed.errors import InvalidInputError
 from clusterembed.mlp import (
+    CHECKPOINT_HEADER,
     MlpParams,
     backward,
     forward,
@@ -195,3 +200,47 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     second_normalize.write_text("\n".join([*lines, "normalize 1"]) + "\n")
     with pytest.raises(InvalidInputError, match=f"line {len(lines) + 1}"):
         load_checkpoint(second_normalize)
+
+
+
+@st.composite
+def checkpoint_texts(draw):
+    """Arbitrary text, or layer blocks and flags that are mostly well formed."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text())
+
+    def sometimes(usual, *faults):
+        pick = draw(st.integers(0, 24))
+        return faults[pick] if pick < len(faults) else usual
+
+    lines = [sometimes(CHECKPOINT_HEADER, "mlp-checkpoint v2", "")]
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    for d_in, d_out in zip(widths, widths[1:]):
+        lines.append(
+            sometimes(f"layer {d_out} {d_in}", f"layer {d_out} {d_in + 1}", f"layer 0 {d_in}",
+                      "layer 1", "layer a 1")
+        )
+        for _ in range(sometimes(d_out, d_out - 1)):
+            cells = [draw(floats) for _ in range(sometimes(d_in + 1, d_in, d_in + 2))]
+            if cells:
+                cells[-1] = sometimes(cells[-1], "nan", "-inf", "1e999", "x")
+            lines.append(" ".join(cells))
+        lines.append(sometimes("", "normalize 1", draw(st.text(max_size=8))))
+    lines.append(sometimes("normalize 1", "normalize 0", "normalize 2", "normalize"))
+    return "\n".join(lines) + sometimes("\n", "", "\r\n")
+
+
+@settings(deadline=None, max_examples=300)
+@given(checkpoint_texts())
+@example(f"{CHECKPOINT_HEADER}\nlayer 1 1\n0.5 0.0\nlayer 1 2\n0.5 0.5 0.0\nnormalize 0\n")
+@example(f"{CHECKPOINT_HEADER}\nlayer 1 1\nnan 0.0\nnormalize 0\n")
+def test_load_checkpoint_of_any_text_gives_params_or_names_the_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        params = load_checkpoint(path)
+    except InvalidInputError as exc:
+        assert re.search(r" line \d+: ", str(exc)), str(exc)
+    else:
+        assert isinstance(params, MlpParams)
