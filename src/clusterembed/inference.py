@@ -24,12 +24,10 @@ position from the other medoids' rows, O(m * C). Without the margin a call
 reads the n candidate rows, O(n * m); the within-cluster refinement at
 gamma = 0 scores its members' submatrix and reads no rows. With the margin,
 the call also builds the (n, m) label matrix and scores it with one
-``batched_margin`` call, O(n * m + n * C * K) array work, then rescores
-through the scalar ``margin`` only the candidates within RESCORE_WINDOW of
-the best (usually one or a few), so that maxima and ties are exactly the
-scalar ones. Greedy makes C calls and a sweep at most C. Everything here
-is sequential and deterministic: all argmax ties resolve to the smallest
-index.
+``batched_margin`` call, O(n * m + n * C * K) array work, whose rows equal
+the scalar ``margin`` exactly, so maxima and ties are the scalar ones.
+Greedy makes C calls and a sweep at most C. Everything here is sequential
+and deterministic: all argmax ties resolve to the smallest index.
 """
 
 from __future__ import annotations
@@ -47,13 +45,6 @@ from .metrics import batched_margin, margin
 
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_CAP = 10**6
-
-# Candidates whose batched score lies within RESCORE_WINDOW * (1 + |best| +
-# gamma) of the best batched score are rescored through the scalar margin.
-# A batched margin is off by a few ulps of 1, so a batched score is off by
-# about 1e-16 * (|score| + gamma): the window holds every candidate that can
-# be the exact maximum, and a wider one would only rescore more of them.
-RESCORE_WINDOW = 1e-9
 
 # Side of the square tiles in which the symmetry check compares a matrix
 # with its transpose.
@@ -153,14 +144,7 @@ def _swap_scores(
         facility = -np.minimum(cand_dist, other_min, out=cand_dist).sum(axis=1)
     if gamma == 0.0:
         return facility
-    scores = facility + gamma * batched_margin(labels, y_star)
-    # the batched margins may differ from the scalar ones in the last bits;
-    # rescoring every candidate near the best through ``margin`` makes the
-    # returned maximum, its ties and its index exactly the scalar ones
-    best = scores.max()
-    near = np.flatnonzero(scores >= best - RESCORE_WINDOW * (1.0 + abs(best) + gamma))
-    scores[near] = facility[near] + gamma * np.array([margin(labels[i], y_star) for i in near])
-    return scores
+    return facility + gamma * batched_margin(labels, y_star)
 
 
 def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
@@ -193,12 +177,9 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         best_pos[dist[pick] < best_dist] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
 
-    medoids = tuple(chosen)
+    # the running state is ``assign``'s labels and the last score is A(S)
     return InferenceResult(
-        medoids=medoids,
-        assignment=assign(dist, medoids),
-        objective=augmented_objective(dist, medoids, y_star, gamma),
-        trace=trace,
+        medoids=tuple(chosen), assignment=best_pos, objective=trace[-1], trace=trace
     )
 
 

@@ -56,61 +56,31 @@ def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
     return _one_to_one(_compact_table(y1, y2))
 
 
-def _entropy(counts: np.ndarray, m: int) -> float:
-    p = counts[counts > 0] / m
-    return -float(np.sum(p * np.log(p)))
+def _row_sums(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum of ``values`` per row for rows 0..n-1, where ``rows`` (sorted)
+    names the row of each value; a row with no values sums to 0.0.
 
-
-def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
-    """Normalized mutual information of two label vectors, in [0, 1].
-
-    MI / sqrt(H1 * H2) with natural logs and pmfs estimated from counts.
-    Permutation invariant. When either assignment has zero entropy the ratio
-    is undefined; by convention the result is 1 when the two partitions are
-    identical and 0 otherwise. Identical partitions short-circuit to exactly
-    1.0 so the identity holds without floating-point slack.
+    Each sum has the bits ``np.sum`` gives over that row's values alone.
+    ``np.sum`` adds a row pairwise, starting from its 0.0 identity, while
+    ``np.add.reduceat`` adds a slice pairwise after its first element, so a
+    0.0 put at the start of each slice makes the two run the same additions.
+    This rests on numpy's pairwise summation, which the tests compare with
+    ``np.sum`` across its unrolled and blocked lengths.
     """
-    y1 = np.asarray(y1)
-    y2 = np.asarray(y2)
-    if y1.shape != y2.shape or y1.ndim != 1:
-        raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
-    if y1.size == 0:
-        raise InvalidInputError("labels must be nonempty")
-    joint = _compact_table(y1, y2)
-    if _one_to_one(joint):
-        return 1.0
-    m = y1.size
-    row = joint.sum(axis=1)
-    col = joint.sum(axis=0)
-    h1 = _entropy(row, m)
-    h2 = _entropy(col, m)
-    if h1 == 0.0 or h2 == 0.0:
-        return 0.0
-    nz_i, nz_j = np.nonzero(joint)
-    counts = joint[nz_i, nz_j]
-    # p_ij log(p_ij / (p_i p_j)) with p = count / m throughout
-    mi = float(np.sum(counts / m * np.log(counts * m / (row[nz_i] * col[nz_j]))))
-    return min(max(mi / np.sqrt(h1 * h2), 0.0), 1.0)
+    first = np.searchsorted(rows, np.arange(n))
+    padded = np.insert(values, first, 0.0)
+    return np.add.reduceat(padded, first + np.arange(n))
 
 
-def margin(y: np.ndarray, y_star: np.ndarray) -> float:
-    """Structured margin 1 - NMI: 0 for a perfect clustering (up to label
-    permutation), 1 for statistically independent assignments."""
-    return 1.0 - nmi(y, y_star)
-
-
-def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
-    """``margin(row, y_star)`` for every row of an (n, m) label matrix.
+def _batched_nmi(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
+    """NMI of every row of an (n, m) label matrix with ``y_star``; see ``nmi``.
 
     One ``bincount`` counts the joint (row, label, true class) cells, and
     the work after it touches only the nonzero cells, so one call costs
     O(n * m) array work plus a table of n * C * K bins for C label ids and
-    K classes. Entropies and MI are the terms ``nmi`` computes, summed per
-    row by weighted ``bincount``; H(y_star) is computed once. A row that
-    induces the same partition as ``y_star`` scores exactly 0.0 and a row
-    or ``y_star`` with zero entropy scores 1.0 otherwise, as in ``nmi``.
-    The sums run in a different order from ``nmi``'s, so a row can differ
-    from the scalar ``margin`` in its last bits.
+    K classes. H(y_star) is computed once. The MI and row entropy terms of
+    a row are summed by ``_row_sums`` in the order ``np.sum`` sums one
+    row's terms, so every row has the bits of a one-row call.
     """
     labels = np.asarray(labels)
     y_star = np.asarray(y_star)
@@ -137,12 +107,13 @@ def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     col = np.bincount(truth, minlength=num_classes)
     # p_ij log(p_ij / (p_i p_j)) with p = count / m throughout
     terms = counts / m * np.log(counts * m / (sizes[cell_cluster] * col[cell_class]))
-    mi = np.bincount(cell_row, weights=terms, minlength=n)
+    mi = _row_sums(terms, cell_row, n)
     nonempty = np.flatnonzero(sizes > 0)
     p = sizes[nonempty] / m
     nonempty_row = nonempty // num_ids
-    h_rows = -np.bincount(nonempty_row, weights=p * np.log(p), minlength=n)
-    h_star = _entropy(col, m)
+    h_rows = -_row_sums(p * np.log(p), nonempty_row, n)
+    q = col[col > 0] / m
+    h_star = -np.sum(q * np.log(q))
     num_cells = np.bincount(cell_row, minlength=n)
     same = (num_cells == np.bincount(nonempty_row, minlength=n)) & (
         num_cells == np.count_nonzero(col)
@@ -151,7 +122,42 @@ def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     nmi_rows = np.zeros(n)
     nmi_rows[scored] = np.clip(mi[scored] / np.sqrt(h_rows[scored] * h_star), 0.0, 1.0)
     nmi_rows[same] = 1.0
-    return 1.0 - nmi_rows
+    return nmi_rows
+
+
+def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
+    """Normalized mutual information of two label vectors, in [0, 1].
+
+    MI / sqrt(H1 * H2) with natural logs and pmfs estimated from counts.
+    Permutation invariant. When either assignment has zero entropy the ratio
+    is undefined; by convention the result is 1 when the two partitions are
+    identical and 0 otherwise. Identical partitions short-circuit to exactly
+    1.0 so the identity holds without floating-point slack. This is the
+    one-row case of ``batched_margin``'s computation, so the two agree
+    exactly.
+    """
+    y1 = np.asarray(y1)
+    y2 = np.asarray(y2)
+    if y1.shape != y2.shape or y1.ndim != 1:
+        raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
+    return float(_batched_nmi(y1[None], y2)[0])
+
+
+def margin(y: np.ndarray, y_star: np.ndarray) -> float:
+    """Structured margin 1 - NMI: 0 for a perfect clustering (up to label
+    permutation), 1 for statistically independent assignments."""
+    return 1.0 - nmi(y, y_star)
+
+
+def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
+    """``margin(row, y_star)`` for every row of an (n, m) label matrix, in
+    one vectorized call whose rows equal the scalar ``margin`` bit for bit.
+
+    A row that induces the same partition as ``y_star`` scores exactly 0.0,
+    and a row or ``y_star`` with zero entropy scores 1.0 otherwise, as in
+    ``margin``.
+    """
+    return 1.0 - _batched_nmi(labels, y_star)
 
 
 def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict[int, float]:

@@ -146,6 +146,9 @@ def test_train_multi_loss_suffixes_artifacts(tmp_path, data_csv, capsys):
 
 
 def test_evaluate_prints_table_and_manifest(tmp_path, data_csv, capsys):
+    # noisy classes, so the NMI is not one of the exact 0.0 and 1.0 cases
+    assert main(["generate", "--classes", "10", "--per-class", "4", "--dim", "3",
+                 "--std", "6.0", "--out", str(data_csv)]) == 0
     ckpt = tmp_path / "model.ckpt"
     assert main(train_args(data_csv, ckpt, "--iterations", "1")) == 0
     capsys.readouterr()
@@ -159,7 +162,10 @@ def test_evaluate_prints_table_and_manifest(tmp_path, data_csv, capsys):
     assert "\neval " in out
     manifest = (tmp_path / "model.eval.manifest").read_text()
     assert "command=evaluate" in manifest
-    assert "nmi=" in manifest
+    # a float's repr, the same under every numpy version, not np.float64(...)
+    (nmi_line,) = [line for line in manifest.splitlines() if line.startswith("nmi=")]
+    assert nmi_line == f"nmi={float(nmi_line[4:])!r}"
+    assert 0.0 < float(nmi_line[4:]) < 1.0
 
 
 def test_evaluate_dimension_mismatch_fails_cleanly(tmp_path, data_csv, capsys):

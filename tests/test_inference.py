@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from clusterembed import inference
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score
@@ -259,26 +258,6 @@ def test_candidate_scoring_matches_reference_loops_at_evaluation_scale(
             pam_refine_reference(dist, y, seed.medoids, gamma, 5, pool),
             (*instance, pool),
         )
-
-
-def test_rescoring_near_best_candidates_keeps_results_exact(monkeypatch):
-    """Candidate scores come from ``batched_margin``, whose last bits may
-    differ from the scalar ``margin``; the candidates near the best are
-    rescored exactly. With the batched margins jittered by about 1e-12,
-    far more than their real error, greedy and both refinement pools still
-    equal the per-candidate loops under ``==``, including the
-    integer-rounded instances where candidates tie."""
-    exact = inference.batched_margin
-    calls = []
-
-    def jittered(labels, y_star):
-        out = exact(labels, y_star)
-        calls.append(out.size)
-        return out + 1e-12 * np.cos(1.0 + 2.0 * np.arange(out.size))
-
-    monkeypatch.setattr(inference, "batched_margin", jittered)
-    test_batched_candidate_scoring_matches_reference_loops()
-    assert calls
 
 
 def test_candidate_scores_equal_objective_of_each_swapped_set():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
 from clusterembed.metrics import (
+    _row_sums,
     batched_margin,
     contingency_table,
     margin,
@@ -14,7 +15,7 @@ from clusterembed.metrics import (
     same_partition,
 )
 
-from oracles import canonical_partition, nmi_oracle, recall_at_k_oracle
+from oracles import canonical_partition, nmi_oracle, nmi_reference, recall_at_k_oracle
 
 label_pairs = st.integers(2, 30).flatmap(
     lambda m: st.tuples(
@@ -155,8 +156,57 @@ def test_batched_margin_matches_scalar_margin():
         labels[copies] = rng.permutation(20)[y_star]
         got = batched_margin(labels, y_star)
         assert got.shape == (n,)
-        np.testing.assert_allclose(got, scalar_margins(labels, y_star), rtol=0, atol=1e-12)
+        assert got.tolist() == scalar_margins(labels, y_star).tolist()
         assert np.all(got[copies] == 0.0)
+
+
+def test_row_sums_equal_np_sum_of_each_row():
+    """Rows of 0 to 300 values, which cross ``np.sum``'s 8-wide unrolled
+    loop and its 128-element pairwise blocks, and a trailing empty row.
+    Values spread over 16 decades, so a different addition order shows."""
+    rng = np.random.default_rng(17)
+    lengths = rng.permutation(301)
+    rows = np.repeat(np.arange(301), lengths)
+    values = rng.normal(size=rows.size) * 10.0 ** rng.integers(-8, 9, size=rows.size)
+    got = _row_sums(values, rows, 302)
+    assert got.tolist() == [np.sum(values[rows == r]) for r in range(302)]
+
+
+def nmi_case(kind):
+    """An (n, m) label matrix and a y_star of one kind of input."""
+    rng = np.random.default_rng(18)
+    if kind == "m1280":
+        y_star = np.arange(1280) % 32
+        noisy = np.where(rng.random(1280) < 0.2, rng.integers(0, 32, 1280), y_star)
+        return np.stack([rng.integers(0, 32, 1280), noisy, rng.permutation(y_star)]), y_star
+    m = 60
+    y_star = rng.integers(0, 5, size=m)
+    labels = rng.integers(0, 7, size=(12, m))
+    if kind == "gapped":
+        return labels * 3 + 2, y_star * 5 + 1
+    if kind == "2**40":
+        signs = np.where(rng.random((12, m)) < 0.5, -(2**40), 2**40)
+        return signs + labels, 2**40 + 3 * y_star
+    if kind == "one-cluster":
+        return np.stack([np.full(m, 4), labels[0], y_star]), np.full(m, 9)
+    if kind == "identical":
+        return np.stack([rng.permutation(20)[y_star] for _ in range(3)]), y_star
+    return labels, y_star
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "gapped", "2**40", "one-cluster", "identical", "m1280"]
+)
+def test_nmi_and_batched_margin_equal_the_scalar_reference(kind):
+    """``nmi`` has the bits of the scalar formula it replaced, and is a
+    Python float; every row of ``batched_margin`` is 1 minus that."""
+    labels, y_star = nmi_case(kind)
+    want = [nmi_reference(row, y_star) for row in labels]
+    got = [nmi(row, y_star) for row in labels]
+    assert got == want
+    assert all(type(v) is float for v in got)
+    assert batched_margin(labels, y_star).tolist() == [1.0 - v for v in want]
+    assert nmi(y_star, labels[0]) == nmi_reference(y_star, labels[0])
 
 
 def test_batched_margin_edge_shapes():
