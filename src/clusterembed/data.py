@@ -6,7 +6,9 @@ from round(class_ratio * m) distinct classes, allocated as evenly as
 possible. Batches that would make every clustering trivial (all labels
 equal, or all labels distinct) are rejected by a guard; the guard also
 requires one class with at least two members so that pair-based losses
-always see a positive pair.
+always see a positive pair. The guard depends only on m and the number of
+classes per batch, so it is checked before anything is drawn and a batch
+is never redrawn.
 
 CSV schema: header "label,f0,...,f{D-1}", then one row per example with
 a nonnegative integer label and D shortest-round-trip decimal features.
@@ -21,8 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvParseError, InvalidInputError, PathologicalBatchError
-
-SAMPLER_MAX_RETRIES = 32
 
 # Class ids are stored as numpy index integers.
 MAX_LABEL = int(np.iinfo(np.intp).max)
@@ -178,9 +178,10 @@ def sample_batch(
 
     Examples are allocated across the drawn classes as uniformly as
     possible, with the remainder going to randomly chosen classes. Labels
-    are remapped to dense ids 0..C_b-1 in the drawn-class order. Batches
-    violating the guard (fewer than 2 distinct labels, or no label with 2+
-    members) are redrawn up to a bounded number of times.
+    are remapped to dense ids 0..C_b-1 in the drawn-class order. Every
+    batch has C_b >= 2 distinct labels, and a label with 2+ members unless
+    m == C_b; that case raises ``PathologicalBatchError`` before ``rng`` is
+    used.
     """
     num_batch_classes = batch_class_count(m, class_ratio)
     if num_batch_classes < 2:
@@ -193,27 +194,22 @@ def sample_batch(
         )
     if num_batch_classes > m:
         raise InvalidInputError("more classes per batch than examples")
+    if num_batch_classes == m:
+        raise PathologicalBatchError(
+            f"every batch would be all singletons (m={m}, classes per batch={num_batch_classes})"
+        )
 
-    train_ids = np.asarray(train_classes)
-    for _ in range(SAMPLER_MAX_RETRIES):
-        chosen = rng.choice(train_ids, size=num_batch_classes, replace=False)
-        counts = np.full(num_batch_classes, m // num_batch_classes)
-        remainder = m % num_batch_classes
-        if remainder:
-            counts[rng.choice(num_batch_classes, size=remainder, replace=False)] += 1
-        feat_blocks = []
-        label_blocks = []
-        for dense_id, class_id in enumerate(chosen):
-            members = dataset.class_index[int(class_id)]
-            take = int(counts[dense_id])
-            picked = rng.choice(members, size=take, replace=take > members.size)
-            feat_blocks.append(dataset.features[picked])
-            label_blocks.append(np.full(take, dense_id, dtype=np.intp))
-        labels = np.concatenate(label_blocks)
-        uniq, sizes = np.unique(labels, return_counts=True)
-        if uniq.size >= 2 and sizes.max() >= 2:
-            return np.concatenate(feat_blocks, axis=0), labels
-    raise PathologicalBatchError(
-        f"could not draw a non-degenerate batch in {SAMPLER_MAX_RETRIES} attempts "
-        f"(m={m}, classes per batch={num_batch_classes})"
-    )
+    chosen = rng.choice(np.asarray(train_classes), size=num_batch_classes, replace=False)
+    counts = np.full(num_batch_classes, m // num_batch_classes)
+    remainder = m % num_batch_classes
+    if remainder:
+        counts[rng.choice(num_batch_classes, size=remainder, replace=False)] += 1
+    feat_blocks = []
+    label_blocks = []
+    for dense_id, class_id in enumerate(chosen):
+        members = dataset.class_index[int(class_id)]
+        take = int(counts[dense_id])
+        picked = rng.choice(members, size=take, replace=take > members.size)
+        feat_blocks.append(dataset.features[picked])
+        label_blocks.append(np.full(take, dense_id, dtype=np.intp))
+    return np.concatenate(feat_blocks, axis=0), np.concatenate(label_blocks)

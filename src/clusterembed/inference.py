@@ -26,8 +26,12 @@ gamma = 0 scores its members' submatrix and reads no rows. With the margin,
 the call also builds the (n, m) label matrix and scores it with one
 ``batched_margin`` call, O(n * m + n * C * K) array work, whose rows equal
 the scalar ``margin`` exactly, so maxima and ties are the scalar ones.
-Greedy makes C calls and a sweep at most C. Everything here is sequential
-and deterministic: all argmax ties resolve to the smallest index.
+Greedy makes C calls and a sweep at most C. Each medoid set is labelled
+once: ``_score`` gives A(S) and the labels from one ``assign`` call, which
+refinement makes for its initial set and after each sweep that changes
+the set, and carries into the next sweep and the result. Everything here
+is sequential and deterministic: all argmax ties resolve to the smallest
+index.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError
-from .facility import assign, facility_score
+from .facility import assign
 from .metrics import batched_margin, margin
 
 # Exhaustive search refuses instances with more candidate subsets than this.
@@ -69,18 +73,40 @@ class InferenceResult:
     trace: list[float] = field(default_factory=list)
 
 
-def _num_classes(y_star: np.ndarray) -> int:
-    return int(np.max(y_star)) + 1
+def _check_labels(y_star: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """``y_star`` as an array and its number of classes K. It must hold one
+    class id per point, and the ids must be 0..K-1, each present."""
+    y_star = np.asarray(y_star)
+    ok = m > 0 and y_star.shape == (m,) and np.issubdtype(y_star.dtype, np.integer)
+    # K <= m when every id is present, which bounds the count
+    if not (ok and 0 <= y_star.min() and y_star.max() < m and np.bincount(y_star).all()):
+        raise InvalidInputError(
+            f"need class ids 0..K-1, each present, for {m} points; got {y_star.dtype}{y_star.shape}"
+        )
+    return y_star, int(y_star.max()) + 1
+
+
+def _score(
+    dist: np.ndarray, medoids: Sequence[int], y_star: np.ndarray, gamma: float
+) -> tuple[float, np.ndarray]:
+    """A(S) and the labels ``assign`` gives S, from one labelling pass.
+
+    Each point's distance to its medoid is the value ``facility_score``
+    takes as the row minimum, summed by the same ``np.sum``.
+    """
+    labels = assign(dist, medoids)
+    served = dist[np.arange(len(dist)), np.asarray(medoids)[labels]]
+    score = -float(np.sum(served))
+    if gamma != 0.0:
+        score += gamma * margin(labels, y_star)
+    return score, labels
 
 
 def augmented_objective(
     dist: np.ndarray, medoids: Sequence[int], y_star: np.ndarray, gamma: float
 ) -> float:
     """A(S): facility score plus gamma times the margin of the induced labels."""
-    score = facility_score(dist, medoids)
-    if gamma != 0.0:
-        score += gamma * margin(assign(dist, medoids), y_star)
-    return score
+    return _score(dist, medoids, y_star, gamma)[0]
 
 
 def _check_dist(dist: np.ndarray) -> None:
@@ -155,12 +181,9 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     arbitrary constant that cancels out of the argmax). Ties go to the
     smallest candidate index.
     """
-    y_star = np.asarray(y_star)
     _check_dist(dist)
     m = dist.shape[0]
-    num_classes = _num_classes(y_star)
-    if num_classes > m:
-        raise InvalidInputError(f"need {num_classes} medoids but batch has only {m} points")
+    y_star, num_classes = _check_labels(y_star, m)
 
     chosen: list[int] = []
     trace: list[float] = []
@@ -222,10 +245,9 @@ def pam_refine(
     margin term is evaluated exactly, so each swap can only raise A as
     well.
     """
-    y_star = np.asarray(y_star)
     _check_dist(dist)
     m = dist.shape[0]
-    num_classes = _num_classes(y_star)
+    y_star, num_classes = _check_labels(y_star, m)
     medoids = [int(i) for i in initial_medoids]
     if len(medoids) != num_classes:
         raise InvalidInputError(
@@ -240,9 +262,10 @@ def pam_refine(
     if candidate_pool not in get_args(CandidatePool):
         raise InvalidInputError(f"unknown candidate pool {candidate_pool!r}")
 
+    # A(S) and the labels of the current set, renewed when a sweep changes it
+    score, labels = _score(dist, medoids, y_star, gamma)
     trace: list[float] = []
     for _ in range(max_sweeps):
-        labels = assign(dist, medoids)
         changed = False
         for k in range(num_classes):
             members = np.flatnonzero(labels == k)
@@ -262,17 +285,13 @@ def pam_refine(
             if pick != medoids[k]:
                 medoids[k] = pick
                 changed = True
-        trace.append(augmented_objective(dist, medoids, y_star, gamma))
+        if changed:
+            score, labels = _score(dist, medoids, y_star, gamma)
+        trace.append(score)
         if not changed:
             break
 
-    final = tuple(medoids)
-    return InferenceResult(
-        medoids=final,
-        assignment=assign(dist, final),
-        objective=trace[-1],
-        trace=trace,
-    )
+    return InferenceResult(medoids=tuple(medoids), assignment=labels, objective=score, trace=trace)
 
 
 def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
@@ -282,11 +301,8 @@ def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) ->
     subsets. Ties resolve to the lexicographically smallest index tuple,
     which is the enumeration order of ``itertools.combinations``.
     """
-    y_star = np.asarray(y_star)
     m = dist.shape[0]
-    num_classes = _num_classes(y_star)
-    if num_classes > m:
-        raise InvalidInputError(f"need {num_classes} medoids but batch has only {m} points")
+    y_star, num_classes = _check_labels(y_star, m)
     if comb(m, num_classes) > BRUTE_FORCE_CAP:
         raise InstanceTooLargeError(
             f"C({m}, {num_classes}) subsets exceed the {BRUTE_FORCE_CAP} enumeration cap"
@@ -296,10 +312,7 @@ def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) ->
         combinations(range(m), num_classes),
         key=lambda subset: augmented_objective(dist, subset, y_star, gamma),
     )
-    best_score = augmented_objective(dist, best_set, y_star, gamma)
+    best_score, labels = _score(dist, best_set, y_star, gamma)
     return InferenceResult(
-        medoids=best_set,
-        assignment=assign(dist, best_set),
-        objective=best_score,
-        trace=[best_score],
+        medoids=best_set, assignment=labels, objective=best_score, trace=[best_score]
     )

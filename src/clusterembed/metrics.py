@@ -11,30 +11,12 @@ from .embedding_ops import pairwise_distances  # noqa: F401
 from .errors import InvalidInputError
 
 
-def contingency_table(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Co-occurrence count matrix: entry (i, j) counts points labeled i by
-    ``y1`` and j by ``y2``. Row/column sums over m give the marginal pmfs."""
-    y1 = np.asarray(y1, dtype=np.intp)
-    y2 = np.asarray(y2, dtype=np.intp)
-    c1 = int(y1.max()) + 1
-    c2 = int(y2.max()) + 1
-    flat = y1 * c2 + y2
-    return np.bincount(flat, minlength=c1 * c2).reshape(c1, c2)
-
-
-def _one_to_one(table: np.ndarray) -> bool:
-    """True when every nonempty row and every nonempty column of the
-    contingency table holds exactly one nonzero cell."""
-    cells = np.count_nonzero(table)
-    return cells == np.count_nonzero(table.any(axis=1)) == np.count_nonzero(table.any(axis=0))
-
-
 def _compact_ids(y: np.ndarray, limit: int) -> np.ndarray:
     """Integer ids shifted to start at 0, so tables indexed by them need no
     empty leading rows. Ids spread over more than ``limit`` values are
     instead relabelled to 0..C-1 in sorted order, which keeps a table built
-    from them small whatever the ids are (``contingency_table`` allocates
-    one bin per possible id pair). Either way only empty table rows and
+    from them small whatever the ids are (``_batched_nmi`` allocates one
+    bin per possible id pair). Either way only empty table rows and
     columns are dropped, so every count, and every sum over nonzero cells
     in row-major order, keeps its bits."""
     y = np.asarray(y, dtype=np.intp)
@@ -42,18 +24,6 @@ def _compact_ids(y: np.ndarray, limit: int) -> np.ndarray:
     if int(y.max()) - low < limit:
         return y - low
     return np.unique(y, return_inverse=True)[1].reshape(y.shape)
-
-
-def _compact_table(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """``contingency_table`` of the two label vectors' compacted ids."""
-    y1 = np.asarray(y1)
-    y2 = np.asarray(y2)
-    return contingency_table(_compact_ids(y1, y1.size), _compact_ids(y2, y2.size))
-
-
-def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
-    """True when the two label vectors induce the same partition of indices."""
-    return _one_to_one(_compact_table(y1, y2))
 
 
 def _row_sums(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -72,8 +42,20 @@ def _row_sums(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.add.reduceat(padded, first + np.arange(n))
 
 
-def _batched_nmi(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
-    """NMI of every row of an (n, m) label matrix with ``y_star``; see ``nmi``.
+def _label_pair(y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two label vectors as arrays, which must be 1-D of one length."""
+    y1 = np.asarray(y1)
+    y2 = np.asarray(y2)
+    if y1.shape != y2.shape or y1.ndim != 1:
+        raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
+    return y1, y2
+
+
+def _batched_nmi(labels: np.ndarray, y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """NMI of every row of an (n, m) label matrix with ``y_star``; see
+    ``nmi``. Also returns, per row, whether it induces the same partition
+    as ``y_star``: every nonempty cluster and every class then hold one
+    nonzero cell of the joint count.
 
     One ``bincount`` counts the joint (row, label, true class) cells, and
     the work after it touches only the nonzero cells, so one call costs
@@ -90,7 +72,7 @@ def _batched_nmi(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     if m == 0:
         raise InvalidInputError("labels must be nonempty")
     if n == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros(0, dtype=bool)
     truth = _compact_ids(y_star, m)
     num_classes = int(truth.max()) + 1
     rows = _compact_ids(labels, m)
@@ -122,7 +104,13 @@ def _batched_nmi(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     nmi_rows = np.zeros(n)
     nmi_rows[scored] = np.clip(mi[scored] / np.sqrt(h_rows[scored] * h_star), 0.0, 1.0)
     nmi_rows[same] = 1.0
-    return nmi_rows
+    return nmi_rows, same
+
+
+def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
+    """True when the two label vectors induce the same partition of indices."""
+    y1, y2 = _label_pair(y1, y2)
+    return bool(_batched_nmi(y1[None], y2)[1][0])
 
 
 def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
@@ -136,11 +124,8 @@ def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
     one-row case of ``batched_margin``'s computation, so the two agree
     exactly.
     """
-    y1 = np.asarray(y1)
-    y2 = np.asarray(y2)
-    if y1.shape != y2.shape or y1.ndim != 1:
-        raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
-    return float(_batched_nmi(y1[None], y2)[0])
+    y1, y2 = _label_pair(y1, y2)
+    return float(_batched_nmi(y1[None], y2)[0][0])
 
 
 def margin(y: np.ndarray, y_star: np.ndarray) -> float:
@@ -157,7 +142,7 @@ def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
     and a row or ``y_star`` with zero entropy scores 1.0 otherwise, as in
     ``margin``.
     """
-    return 1.0 - _batched_nmi(labels, y_star)
+    return 1.0 - _batched_nmi(labels, y_star)[0]
 
 
 def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict[int, float]:

@@ -3,6 +3,7 @@ import pytest
 
 from clusterembed.cluster_loss import clustering_loss, facility_subgradient
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
+from clusterembed.errors import InvalidInputError
 from clusterembed.facility import oracle_score
 from clusterembed.inference import brute_force_inference
 
@@ -136,3 +137,12 @@ def test_loss_deterministic():
     assert a.value == b.value
     assert np.array_equal(a.grad, b.grad)
     assert a.violator.medoids == b.violator.medoids
+
+
+def test_loss_rejects_labels_that_are_not_dense_class_ids():
+    emb, y = separated_instance()
+    batch = EmbeddingBatch(emb)
+    for bad in (np.full(8, -1), np.array([0, 0, 0, 0, 2, 2, 2, 2]), y[:7]):
+        for gamma in (0.0, 1.0):
+            with pytest.raises(InvalidInputError):
+                clustering_loss(batch, bad, gamma)

@@ -194,6 +194,17 @@ def test_sample_batch_errors():
         sample_batch(ds, (0, 1, 2, 3), m=2, class_ratio=1.0, rng=rng)
 
 
+def test_sample_batch_all_singleton_batches_fail_before_drawing():
+    """The guard depends only on m and the classes per batch, so it fails
+    without using the generator."""
+    ds = generate_gaussian(4, 5, 2, 5.0, 0.5, seed=10)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(PathologicalBatchError):
+        sample_batch(ds, (0, 1, 2, 3), m=3, class_ratio=1.0, rng=rng)
+    assert rng.bit_generator.state == before
+
+
 @st.composite
 def csv_texts(draw):
     """Arbitrary text, or a header and rows that are mostly well formed."""

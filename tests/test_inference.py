@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clusterembed import inference
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score
@@ -84,6 +85,24 @@ def test_greedy_rejects_more_classes_than_points():
         greedy_inference(dist, np.array([0, 2]), 0.0)  # labels imply 3 classes
 
 
+@pytest.mark.parametrize(
+    "y",
+    [[-1, -1, -1, -1], [0, 0, 2, 2], [0, 0, 1], [0, 0, 1, 1, 1], [[0, 0, 1, 1]], [0.0, 0, 1, 1]],
+    ids=["all-negative", "gapped", "short", "long", "2-d", "float"],
+)
+def test_inference_rejects_labels_that_are_not_dense_class_ids(y):
+    """One class id per point, ids 0..K-1 each present, at any gamma."""
+    dist, _ = line_instance()
+    y = np.array(y)
+    for gamma in (0.0, 0.5):
+        with pytest.raises(InvalidInputError):
+            greedy_inference(dist, y, gamma)
+        with pytest.raises(InvalidInputError):
+            pam_refine(dist, y, (0, 3), gamma, 5)
+        with pytest.raises(InvalidInputError):
+            brute_force_inference(dist, y, gamma)
+
+
 def test_pam_hand_traced_instance():
     dist, y = line_instance()
     result = pam_refine(dist, y, (0, 3), gamma=0.0, max_sweeps=5)
@@ -135,6 +154,38 @@ def test_pam_whole_batch_pool_reaches_swap_local_optimum():
                     augmented_objective(dist, trial_set, y, gamma)
                     <= refined.objective + 1e-9
                 )
+
+
+def test_pam_labels_each_medoid_set_once(monkeypatch):
+    """One ``assign`` call for the initial set and one after each sweep that
+    changed the set; the labels and objective returned are those carried."""
+    rng = np.random.default_rng(27)
+    calls = []
+
+    def counted(d, medoids):
+        calls.append(tuple(medoids))
+        return assign(d, medoids)
+
+    most_changed = 0
+    for trial in range(24):
+        dist, y = random_instance(rng, m=14, max_classes=4)
+        gamma = (0.0, 0.5)[trial % 2]
+        pool = ("cluster", "all")[trial // 2 % 2]
+        start = tuple(int(i) for i in rng.permutation(14)[: int(y.max()) + 1])
+        # the set after each sweep, from runs cut after 1, 2 and 3 sweeps
+        sets = [start] + [pam_refine(dist, y, start, gamma, s, pool).medoids for s in (1, 2, 3)]
+        changed = sum(a != b for a, b in zip(sets, sets[1:]))
+        most_changed = max(most_changed, changed)
+
+        calls.clear()
+        monkeypatch.setattr(inference, "assign", counted)
+        result = pam_refine(dist, y, start, gamma, 3, pool)
+        monkeypatch.undo()
+        assert len(calls) == 1 + changed, trial
+        assert result.medoids == sets[-1]
+        assert np.array_equal(result.assignment, assign(dist, result.medoids))
+        assert result.objective == augmented_objective(dist, result.medoids, y, gamma)
+    assert most_changed >= 2
 
 
 def test_pam_validation():

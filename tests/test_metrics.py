@@ -8,7 +8,6 @@ from clusterembed.errors import InvalidInputError
 from clusterembed.metrics import (
     _row_sums,
     batched_margin,
-    contingency_table,
     margin,
     nmi,
     recall_at_k,
@@ -32,18 +31,22 @@ def dense(y):
     return inv
 
 
-def test_contingency_table_hand_example():
-    y1 = np.array([0, 0, 1, 1, 2])
-    y2 = np.array([1, 1, 1, 0, 0])
-    table = contingency_table(y1, y2)
-    assert table.tolist() == [[0, 2], [1, 1], [1, 0]]
-    assert table.sum() == 5
-
-
 def test_same_partition():
     assert same_partition([0, 0, 1, 1], [1, 1, 0, 0])
     assert same_partition([0, 1, 2], [5, 3, 9])
     assert not same_partition([0, 0, 1, 1], [0, 1, 0, 1])
+    assert type(same_partition([0, 1], [1, 0])) is bool
+
+
+def test_same_partition_shape_validation():
+    """Malformed label vectors fail as ``nmi`` fails, not inside numpy."""
+    for y1, y2 in [
+        ([0, 1], [0, 1, 2]),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+        ([], []),
+    ]:
+        with pytest.raises(InvalidInputError):
+            same_partition(np.array(y1), np.array(y2))
 
 
 def relabeled(pair):
