@@ -29,8 +29,7 @@ from .data import generate_gaussian, load_csv, sample_batch, save_csv, split_by_
 from .embedding_ops import pairwise_distances
 from .errors import InstanceTooLargeError
 from .inference import CandidatePool, brute_force_inference
-# unused; perfbench/tests/test_perfbench.py expects the tracer to patch it here
-from .metrics import margin  # noqa: F401
+from .metrics import margin
 from .mlp import forward, load_checkpoint, save_checkpoint
 from .train import LossKind, TrainConfig, TrainRecord, evaluate_model, train
 
@@ -259,7 +258,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     print(f"final medoids: {' '.join(str(i) for i in out.violator.medoids)}")
     print(f"oracle medoids: {' '.join(str(i) for i in out.oracle_medoids)}")
     print(f"oracle score: {out.oracle_value:.6f}")
-    print(f"margin of violator: {out.margin_value:.6f}")
+    print(f"margin of violator: {margin(out.violator.assignment, labels):.6f}")
     print(f"hinge argument: {out.hinge_arg:.6f}")
     print(f"loss: {out.value:.6f}")
     if args.brute_force:
@@ -352,7 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run ends in one error line, not numpy's warnings first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

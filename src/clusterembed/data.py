@@ -43,6 +43,8 @@ class Dataset:
             raise InvalidInputError("labels must be one id per feature row")
         if self.labels.size and self.labels.min() < 0:
             raise InvalidInputError("class ids must be nonnegative")
+        if not np.isfinite(self.features).all():
+            raise InvalidInputError("non-finite feature value")
         self.class_index = {
             int(c): np.flatnonzero(self.labels == c) for c in np.unique(self.labels)
         }
@@ -85,8 +87,9 @@ def generate_gaussian(
     [-center_scale, center_scale]^D, points = center + N(0, std^2 I)."""
     if num_classes < 1 or points_per_class < 1 or input_dim < 1:
         raise InvalidInputError("counts and dimensions must be positive")
-    if not (0 <= cluster_std < np.inf and 0 <= center_scale < np.inf):
-        raise InvalidInputError("scales must be finite and nonnegative")
+    # rng.uniform needs a finite width 2 * center_scale
+    if not (0 <= cluster_std < np.inf and 0 <= 2.0 * center_scale < np.inf):
+        raise InvalidInputError("scales must be nonnegative, and the std and center range finite")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_scale, center_scale, size=(num_classes, input_dim))
     blocks = [

@@ -8,8 +8,8 @@ The margin rewards candidate clusterings that disagree with the ground
 truth, so the maximizer is the most-violating assignment. Exact
 maximization is NP-hard; ``greedy_inference`` builds an initial set by
 best-marginal-benefit selection and ``pam_refine`` improves it with
-medoid/member exchanges. ``brute_force_inference`` exhaustively solves
-small instances and exists for testing.
+medoid/member exchanges; ``infer`` runs one after the other.
+``brute_force_inference`` exhaustively solves small instances for tests.
 
 The distance matrix must be exactly symmetric, as ``pairwise_distances``
 makes it: candidates are read as contiguous rows ``D[cands]``, which
@@ -27,9 +27,9 @@ the call also builds the (n, m) label matrix and scores it with one
 ``batched_margin`` call, O(n * m + n * C * K) array work, whose rows equal
 the scalar ``margin`` exactly, so maxima and ties are the scalar ones.
 Greedy makes C calls and a sweep at most C. Each medoid set is labelled
-once: ``_score`` gives A(S) and the labels from one ``assign`` call, which
-refinement makes for its initial set and after each sweep that changes
-the set, and carries into the next sweep and the result. Everything here
+once: refinement starts from the labels and A(S) of its seed, and after
+each sweep that changes the set makes one ``label_medoids`` call (one
+``assign``, and one ``margin`` if gamma != 0). Everything here
 is sequential and deterministic: all argmax ties resolve to the smallest
 index.
 """
@@ -64,7 +64,7 @@ class InferenceResult:
 
     ``objective`` is A(S) for the returned medoids; ``trace`` records the
     objective after each iteration of the routine that produced the result
-    (greedy: after each added medoid; refinement: after each outer sweep).
+    (greedy: each added medoid; refinement: each sweep; ``label_medoids``: once).
     """
 
     medoids: tuple[int, ...]
@@ -86,10 +86,10 @@ def _check_labels(y_star: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     return y_star, int(y_star.max()) + 1
 
 
-def _score(
+def label_medoids(
     dist: np.ndarray, medoids: Sequence[int], y_star: np.ndarray, gamma: float
-) -> tuple[float, np.ndarray]:
-    """A(S) and the labels ``assign`` gives S, from one labelling pass.
+) -> InferenceResult:
+    """Label a medoid set with one ``assign`` call and score its A(S).
 
     Each point's distance to its medoid is the value ``facility_score``
     takes as the row minimum, summed by the same ``np.sum``.
@@ -99,14 +99,9 @@ def _score(
     score = -float(np.sum(served))
     if gamma != 0.0:
         score += gamma * margin(labels, y_star)
-    return score, labels
-
-
-def augmented_objective(
-    dist: np.ndarray, medoids: Sequence[int], y_star: np.ndarray, gamma: float
-) -> float:
-    """A(S): facility score plus gamma times the margin of the induced labels."""
-    return _score(dist, medoids, y_star, gamma)[0]
+    return InferenceResult(
+        medoids=tuple(int(i) for i in medoids), assignment=labels, objective=score, trace=[score]
+    )
 
 
 def _check_dist(dist: np.ndarray) -> None:
@@ -209,12 +204,14 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
 def pam_refine(
     dist: np.ndarray,
     y_star: np.ndarray,
-    initial_medoids: Sequence[int],
+    seed: InferenceResult,
     gamma: float,
     max_sweeps: int,
     candidate_pool: CandidatePool = "cluster",
 ) -> InferenceResult:
-    """Refine a medoid set by sequential medoid/point exchanges.
+    """Refine ``seed``, the result of ``greedy_inference`` or ``label_medoids``
+    for the same ``dist``, ``y_star`` and ``gamma``, by sequential
+    medoid/point exchanges.
 
     With the default ``candidate_pool="cluster"``, each outer sweep freezes
     the assignment induced by the current medoids, then for every medoid
@@ -248,27 +245,23 @@ def pam_refine(
     _check_dist(dist)
     m = dist.shape[0]
     y_star, num_classes = _check_labels(y_star, m)
-    medoids = [int(i) for i in initial_medoids]
+    medoids = list(seed.medoids)
     if len(medoids) != num_classes:
         raise InvalidInputError(
-            f"initial medoid set has size {len(medoids)}, expected {num_classes}"
+            f"seed medoid set has size {len(medoids)}, expected {num_classes}"
         )
-    if len(set(medoids)) != len(medoids):
-        raise InvalidInputError("initial medoid indices must be distinct")
-    if any(i < 0 or i >= m for i in medoids):
-        raise InvalidInputError(f"initial medoid index out of range [0, {m})")
     if max_sweeps < 1:
         raise InvalidInputError("refinement needs at least one sweep")
     if candidate_pool not in get_args(CandidatePool):
         raise InvalidInputError(f"unknown candidate pool {candidate_pool!r}")
 
-    # A(S) and the labels of the current set, renewed when a sweep changes it
-    score, labels = _score(dist, medoids, y_star, gamma)
+    # the labelled current set, renewed when a sweep changes it
+    current = seed
     trace: list[float] = []
     for _ in range(max_sweeps):
         changed = False
         for k in range(num_classes):
-            members = np.flatnonzero(labels == k)
+            members = np.flatnonzero(current.assignment == k)
             cands = members if candidate_pool == "cluster" else np.arange(m)
             other_medoid = np.zeros(m, dtype=bool)
             other_medoid[medoids[:k] + medoids[k + 1 :]] = True
@@ -286,12 +279,22 @@ def pam_refine(
                 medoids[k] = pick
                 changed = True
         if changed:
-            score, labels = _score(dist, medoids, y_star, gamma)
-        trace.append(score)
+            current = label_medoids(dist, medoids, y_star, gamma)
+        trace.append(current.objective)
         if not changed:
             break
 
-    return InferenceResult(medoids=tuple(medoids), assignment=labels, objective=score, trace=trace)
+    return InferenceResult(current.medoids, current.assignment, current.objective, trace)
+
+
+def infer(
+    dist: np.ndarray, y_star: np.ndarray, gamma: float, max_sweeps: int,
+    candidate_pool: CandidatePool = "cluster",
+) -> tuple[InferenceResult, InferenceResult]:
+    """Loss-augmented inference: ``greedy_inference``, then ``pam_refine``
+    from its result. Returns the greedy and the refined result."""
+    greedy = greedy_inference(dist, y_star, gamma)
+    return greedy, pam_refine(dist, y_star, greedy, gamma, max_sweeps, candidate_pool)
 
 
 def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
@@ -307,12 +310,8 @@ def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) ->
         raise InstanceTooLargeError(
             f"C({m}, {num_classes}) subsets exceed the {BRUTE_FORCE_CAP} enumeration cap"
         )
+    subsets = combinations(range(m), num_classes)
     # max keeps the first of equal scores
-    best_set = max(
-        combinations(range(m), num_classes),
-        key=lambda subset: augmented_objective(dist, subset, y_star, gamma),
-    )
-    best_score, labels = _score(dist, best_set, y_star, gamma)
-    return InferenceResult(
-        medoids=best_set, assignment=labels, objective=best_score, trace=[best_score]
+    return max(
+        (label_medoids(dist, s, y_star, gamma) for s in subsets), key=lambda r: r.objective
     )

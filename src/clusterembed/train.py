@@ -25,7 +25,7 @@ from .cluster_loss import clustering_loss
 from .data import Dataset, batch_class_count, sample_batch, split_by_class
 from .embedding_ops import EmbeddingBatch, pairwise_distances
 from .errors import InvalidInputError
-from .inference import CandidatePool, greedy_inference, pam_refine
+from .inference import CandidatePool, infer
 from .metrics import nmi, recall_at_k
 from .mlp import MlpParams, backward, forward, init_params
 from .optim import RmsState, gamma_at, rmsprop_step
@@ -162,8 +162,7 @@ def evaluate_embeddings(
     Recall runs first, so an out-of-range K fails before the clustering."""
     dist = pairwise_distances(batch)
     recalls = recall_at_k(dist, labels, recall_ks)
-    seed_result = greedy_inference(dist, labels, gamma=0.0)
-    refined = pam_refine(dist, labels, seed_result.medoids, gamma=0.0, max_sweeps=refine_sweeps)
+    _, refined = infer(dist, labels, gamma=0.0, max_sweeps=refine_sweeps)
     return nmi(refined.assignment, labels), recalls
 
 

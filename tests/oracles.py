@@ -17,7 +17,7 @@ from clusterembed.embedding_ops import (
 )
 from clusterembed.errors import DegenerateRowError, InvalidInputError
 from clusterembed.facility import assign
-from clusterembed.inference import InferenceResult, augmented_objective
+from clusterembed.inference import InferenceResult, label_medoids
 from clusterembed.metrics import margin
 
 
@@ -204,7 +204,7 @@ def greedy_reference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     return InferenceResult(
         medoids=medoids,
         assignment=best_pos.copy(),
-        objective=augmented_objective(dist, medoids, y_star, gamma),
+        objective=label_medoids(dist, medoids, y_star, gamma).objective,
         trace=trace,
     )
 
@@ -244,7 +244,7 @@ def pam_refine_reference(
             if pick != medoids[k]:
                 medoids[k] = pick
                 changed = True
-        trace.append(augmented_objective(dist, medoids, y_star, gamma))
+        trace.append(label_medoids(dist, medoids, y_star, gamma).objective)
         if not changed:
             break
     final = tuple(medoids)

@@ -25,13 +25,8 @@ from clusterembed.cluster_loss import clustering_loss
 from clusterembed.data import generate_gaussian, split_by_class
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.facility import facility_score, oracle_score
-from clusterembed.inference import (
-    augmented_objective,
-    brute_force_inference,
-    greedy_inference,
-    pam_refine,
-)
-from clusterembed.metrics import nmi
+from clusterembed.inference import brute_force_inference, infer, label_medoids
+from clusterembed.metrics import margin, nmi
 from clusterembed.mlp import init_params
 from clusterembed.train import TrainConfig, evaluate_model, train
 
@@ -71,10 +66,7 @@ def test_criterion_01_inference_matches_brute_force_floor():
             num_classes = 2 if i % 2 == 0 else 3
             gamma = (0.0, 0.5, 2.0)[i % 3]
             dist, labels = random_instance(rng, m=10, dim=4, num_classes=num_classes)
-            seed_result = greedy_inference(dist, labels, gamma)
-            refined = pam_refine(
-                dist, labels, seed_result.medoids, gamma, max_sweeps=5, candidate_pool=pool
-            )
+            seed_result, refined = infer(dist, labels, gamma, max_sweeps=5, candidate_pool=pool)
             exact = brute_force_inference(dist, labels, gamma)
             assert refined.objective >= seed_result.objective - 1e-12, (
                 f"refinement fell below greedy on instance {i} ({pool} pool)"
@@ -104,10 +96,7 @@ def test_criterion_02_refinement_sweeps_never_decrease():
         gamma = (0.0, 0.5, 2.0)[instances % 3]
         pool = ("cluster", "all")[instances % 2]
         dist, labels = random_instance(rng, m=24, dim=4, num_classes=num_classes)
-        seed_result = greedy_inference(dist, labels, gamma)
-        refined = pam_refine(
-            dist, labels, seed_result.medoids, gamma, max_sweeps=8, candidate_pool=pool
-        )
+        _, refined = infer(dist, labels, gamma, max_sweeps=8, candidate_pool=pool)
         for prev, nxt in itertools.pairwise(refined.trace):
             assert nxt >= prev - 1e-9 * max(1.0, abs(prev)), (
                 f"sweep decreased the objective: {prev} -> {nxt} (instance {instances})"
@@ -128,10 +117,7 @@ def test_criterion_03_whole_batch_refinement_is_swap_optimal():
         num_classes = 2 + i % 3
         gamma = (0.0, 0.5, 2.0)[i % 3]
         dist, labels = random_instance(rng, m=m, dim=4, num_classes=num_classes)
-        seed_result = greedy_inference(dist, labels, gamma)
-        refined = pam_refine(
-            dist, labels, seed_result.medoids, gamma, max_sweeps=50, candidate_pool="all"
-        )
+        _, refined = infer(dist, labels, gamma, max_sweeps=50, candidate_pool="all")
         medoids = list(refined.medoids)
         for k in range(num_classes):
             for cand in range(m):
@@ -139,7 +125,7 @@ def test_criterion_03_whole_batch_refinement_is_swap_optimal():
                     continue
                 trial = medoids.copy()
                 trial[k] = cand
-                gain = augmented_objective(dist, trial, labels, gamma) - refined.objective
+                gain = label_medoids(dist, trial, labels, gamma).objective - refined.objective
                 assert gain <= 1e-9, (
                     f"improving swap left after refinement: instance {i}, position {k}, "
                     f"candidate {cand}, gain {gain}"
@@ -228,7 +214,7 @@ def test_criterion_05_gradients_match_finite_differences():
         out = clustering_loss(EmbeddingBatch(emb), labels, gamma)
         violator_attach = np.asarray(out.violator.medoids)[out.violator.assignment]
         oracle_attach = np.asarray(out.oracle_medoids)[labels]
-        bonus = gamma * out.margin_value
+        bonus = gamma * margin(out.violator.assignment, labels)
 
         def frozen_cluster(e):
             fv = -float(np.sum(np.linalg.norm(e - e[violator_attach], axis=1)))

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clusterembed
 from clusterembed.cli import _train_config, build_parser, main
 from clusterembed.data import load_csv, sample_batch
 from clusterembed.embedding_ops import pairwise_distances
 from clusterembed.facility import oracle_score
-from clusterembed.inference import greedy_inference, pam_refine
+from clusterembed.inference import infer
 from clusterembed.metrics import margin
 from clusterembed.mlp import forward, init_params, load_checkpoint, save_checkpoint
 from clusterembed.train import TrainConfig
@@ -325,8 +330,7 @@ def test_inspect_prints_the_loss_of_direct_inference(tmp_path, capsys):
     )
     batch, _ = forward(load_checkpoint(ckpt), feats)
     dist = pairwise_distances(batch)
-    seed = greedy_inference(dist, labels, gamma)
-    refined = pam_refine(dist, labels, seed.medoids, gamma, sweeps, pool)
+    seed, refined = infer(dist, labels, gamma, sweeps, pool)
     oracle_value, oracle_medoids = oracle_score(dist, labels)
     hinge_arg = refined.objective - oracle_value
 
@@ -344,3 +348,47 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+GENERATE_TINY = ["generate", "--classes", "3", "--per-class", "2", "--dim", "2"]
+EVALUATE = ["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evaluate", "--checkpoint", "{ckpt}", "--data", "{bad}"],
+        ["evaluate", "--checkpoint", "{ckpt}", "--data", "{ckpt}"],
+        ["evaluate", "--checkpoint", "{data}", "--data", "{data}"],
+        [*EVALUATE, "--recall-ks", "300"],
+        [*EVALUATE, "--train-fraction", "0.99"],
+        ["inspect", "--checkpoint", "{ckpt}", "--data", "{data}", "--m", "4"],
+        ["train", "--data", "{data}", "--checkpoint", "{out}", "--hidden-dims", "0"],
+        [*GENERATE_TINY, "--center-scale", "1e308", "--out", "{out}"],
+        [*GENERATE_TINY, "--std", "1e308", "--out", "{out}"],
+        ["train", "--data", "{data}", "--checkpoint", "{out}", "--loss", "npairs",
+         "--lr", "1e200", "--batch-size", "20", "--iterations", "3"],
+    ],
+    ids=["csv-header", "checkpoint-as-data", "csv-as-checkpoint", "recall-k-300",
+         "train-fraction-0.99", "inspect-m-4", "hidden-dims-0", "center-scale-overflow",
+         "std-overflow", "diverging-npairs"],
+)
+def test_bad_input_prints_one_error_line(tmp_path, data_csv, args):
+    """Run in a fresh process, as a user would: each bad file or flag exits
+    with 1 or 2, writes nothing, and prints exactly one ``error:`` line to
+    stderr, with no traceback and no numpy warning before it."""
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params([3, 8, 4], True, np.random.default_rng(0)), ckpt)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("lbl,f0,f1,f2\n0,1.0,2.0,3.0\n")
+    out = tmp_path / "out"
+    argv = [a.format(data=data_csv, ckpt=ckpt, bad=bad, out=out) for a in args]
+    package_root = str(Path(clusterembed.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, inherited]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "clusterembed.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode in (1, 2), proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr, proc.stderr
+    assert not out.exists()

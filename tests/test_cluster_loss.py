@@ -6,6 +6,7 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
 from clusterembed.facility import oracle_score
 from clusterembed.inference import brute_force_inference
+from clusterembed.metrics import margin
 
 from oracles import central_diff_grad, rel_err
 
@@ -62,7 +63,7 @@ def test_loss_zero_on_separated_clusters():
     assert out.value == 0.0
     assert out.hinge_arg <= 0.0
     assert np.all(out.grad == 0.0)
-    assert out.margin_value == 0.0
+    assert margin(out.violator.assignment, y) == 0.0
 
 
 def test_loss_positive_with_large_margin_weight():
@@ -70,7 +71,7 @@ def test_loss_positive_with_large_margin_weight():
     out = clustering_loss(EmbeddingBatch(emb), y, gamma=1000.0)
     # the margin reward dwarfs the facility drop, so a violator wins
     assert out.value > 0.0
-    assert out.margin_value > 0.0
+    assert margin(out.violator.assignment, y) > 0.0
     assert not np.all(out.grad == 0.0)
 
 
@@ -81,7 +82,7 @@ def test_loss_value_is_clipped_hinge_argument():
         out = clustering_loss(EmbeddingBatch(emb), y, gamma=(0.0, 0.5, 2.0)[trial % 3])
         assert out.value == max(0.0, out.hinge_arg)
         assert out.value >= 0.0
-        assert 0.0 <= out.margin_value <= 1.0
+        assert 0.0 <= margin(out.violator.assignment, y) <= 1.0
         assert len(out.oracle_medoids) == len(set(y.tolist()))
         assert len(out.violator.medoids) == len(set(y.tolist()))
 

@@ -53,6 +53,30 @@ def test_generate_validation():
         generate_gaussian(3, 5, 2, 1.0, float("nan"), 0)
 
 
+@pytest.mark.parametrize(
+    "center_scale,std",
+    [(1e308, 1.0), (1e308, 0.0), (1.0, 1e308)],
+    ids=["range", "range-std0", "std"],
+)
+def test_generate_overflowing_scales_raise_invalid_input(center_scale, std):
+    # a center range 2e308 wide overflows rng.uniform; a std of 1e308 draws inf
+    with pytest.raises(InvalidInputError, match="finite"):
+        generate_gaussian(3, 2, 2, center_scale, std, 0)
+
+
+def test_largest_finite_center_range_still_generates():
+    ds = generate_gaussian(3, 2, 2, np.finfo(float).max / 2, 0.0, 0)
+    assert np.isfinite(ds.features).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_dataset_rejects_non_finite_features(bad):
+    features = np.zeros((2, 2))
+    features[1, 0] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        Dataset(features=features, labels=np.array([0, 1]))
+
+
 def test_csv_roundtrip_exact(tmp_path):
     ds = generate_gaussian(3, 7, 4, center_scale=3.0, cluster_std=0.5, seed=3)
     path = tmp_path / "data.csv"

@@ -8,9 +8,10 @@ from clusterembed.facility import assign, facility_score
 from clusterembed.inference import (
     _nearest_other,
     _swap_scores,
-    augmented_objective,
     brute_force_inference,
     greedy_inference,
+    infer,
+    label_medoids,
     pam_refine,
 )
 from clusterembed.metrics import margin
@@ -65,7 +66,7 @@ def test_greedy_objective_recomputable():
     for gamma in (0.0, 0.5, 2.0):
         dist, y = random_instance(rng)
         result = greedy_inference(dist, y, gamma)
-        recomputed = augmented_objective(dist, result.medoids, y, gamma)
+        recomputed = label_medoids(dist, result.medoids, y, gamma).objective
         assert result.objective == pytest.approx(recomputed, abs=1e-9)
         assert np.array_equal(result.assignment, assign(dist, result.medoids))
 
@@ -92,20 +93,20 @@ def test_greedy_rejects_more_classes_than_points():
 )
 def test_inference_rejects_labels_that_are_not_dense_class_ids(y):
     """One class id per point, ids 0..K-1 each present, at any gamma."""
-    dist, _ = line_instance()
+    dist, good = line_instance()
     y = np.array(y)
     for gamma in (0.0, 0.5):
         with pytest.raises(InvalidInputError):
             greedy_inference(dist, y, gamma)
         with pytest.raises(InvalidInputError):
-            pam_refine(dist, y, (0, 3), gamma, 5)
+            pam_refine(dist, y, label_medoids(dist, (0, 3), good, gamma), gamma, 5)
         with pytest.raises(InvalidInputError):
             brute_force_inference(dist, y, gamma)
 
 
 def test_pam_hand_traced_instance():
     dist, y = line_instance()
-    result = pam_refine(dist, y, (0, 3), gamma=0.0, max_sweeps=5)
+    result = pam_refine(dist, y, label_medoids(dist, (0, 3), y, 0.0), gamma=0.0, max_sweeps=5)
     # cluster {0,1,2}: within-cluster sums 3, 2, 3 -> swap medoid 0 for 1
     assert result.medoids == (1, 3)
     assert result.trace == pytest.approx([-2.0, -2.0])
@@ -114,7 +115,7 @@ def test_pam_hand_traced_instance():
 
 def test_pam_fixed_point_trace_length_one():
     dist, y = line_instance()
-    result = pam_refine(dist, y, (1, 3), gamma=0.0, max_sweeps=5)
+    result = pam_refine(dist, y, label_medoids(dist, (1, 3), y, 0.0), gamma=0.0, max_sweeps=5)
     assert result.medoids == (1, 3)
     assert len(result.trace) == 1
 
@@ -126,11 +127,11 @@ def test_pam_improves_on_greedy_and_is_monotone():
         gamma = (0.0, 0.5, 2.0)[trial % 3]
         seed = greedy_inference(dist, y, gamma)
         for pool in ("cluster", "all"):
-            refined = pam_refine(dist, y, seed.medoids, gamma, 5, pool)
+            refined = pam_refine(dist, y, seed, gamma, 5, pool)
             assert refined.objective >= seed.objective - 1e-9
             assert (np.diff(refined.trace) >= -1e-9).all()
             assert refined.objective == pytest.approx(
-                augmented_objective(dist, refined.medoids, y, gamma), abs=1e-9
+                label_medoids(dist, refined.medoids, y, gamma).objective, abs=1e-9
             )
             assert len(set(refined.medoids)) == len(refined.medoids)
 
@@ -140,8 +141,7 @@ def test_pam_whole_batch_pool_reaches_swap_local_optimum():
     for trial in range(10):
         dist, y = random_instance(rng, m=12)
         gamma = (0.0, 1.0)[trial % 2]
-        seed = greedy_inference(dist, y, gamma)
-        refined = pam_refine(dist, y, seed.medoids, gamma, 50, "all")
+        _, refined = infer(dist, y, gamma, 50, "all")
         assert len(refined.trace) < 50  # early exit happened
         medoids = list(refined.medoids)
         for k in range(len(medoids)):
@@ -151,20 +151,24 @@ def test_pam_whole_batch_pool_reaches_swap_local_optimum():
                 trial_set = list(medoids)
                 trial_set[k] = j
                 assert (
-                    augmented_objective(dist, trial_set, y, gamma)
+                    label_medoids(dist, trial_set, y, gamma).objective
                     <= refined.objective + 1e-9
                 )
 
 
 def test_pam_labels_each_medoid_set_once(monkeypatch):
-    """One ``assign`` call for the initial set and one after each sweep that
-    changed the set; the labels and objective returned are those carried."""
+    """No ``assign`` or ``margin`` call for the seed, and one of each (no
+    ``margin`` at gamma = 0) after each sweep that changed the set; the
+    labels and objective returned are those carried."""
     rng = np.random.default_rng(27)
     calls = []
 
-    def counted(d, medoids):
-        calls.append(tuple(medoids))
-        return assign(d, medoids)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
 
     most_changed = 0
     for trial in range(24):
@@ -172,38 +176,43 @@ def test_pam_labels_each_medoid_set_once(monkeypatch):
         gamma = (0.0, 0.5)[trial % 2]
         pool = ("cluster", "all")[trial // 2 % 2]
         start = tuple(int(i) for i in rng.permutation(14)[: int(y.max()) + 1])
+        seed = label_medoids(dist, start, y, gamma)
         # the set after each sweep, from runs cut after 1, 2 and 3 sweeps
-        sets = [start] + [pam_refine(dist, y, start, gamma, s, pool).medoids for s in (1, 2, 3)]
+        sets = [start] + [pam_refine(dist, y, seed, gamma, s, pool).medoids for s in (1, 2, 3)]
         changed = sum(a != b for a, b in zip(sets, sets[1:]))
         most_changed = max(most_changed, changed)
 
         calls.clear()
-        monkeypatch.setattr(inference, "assign", counted)
-        result = pam_refine(dist, y, start, gamma, 3, pool)
+        monkeypatch.setattr(inference, "assign", counted(assign))
+        monkeypatch.setattr(inference, "margin", counted(margin))
+        result = pam_refine(dist, y, seed, gamma, 3, pool)
         monkeypatch.undo()
-        assert len(calls) == 1 + changed, trial
+        assert calls.count("assign") == changed, trial
+        assert calls.count("margin") == (changed if gamma else 0), trial
         assert result.medoids == sets[-1]
         assert np.array_equal(result.assignment, assign(dist, result.medoids))
-        assert result.objective == augmented_objective(dist, result.medoids, y, gamma)
+        assert result.objective == label_medoids(dist, result.medoids, y, gamma).objective
     assert most_changed >= 2
 
 
 def test_pam_validation():
     dist, y = line_instance()
+    seed = label_medoids(dist, (0, 3), y, 0.0)
     with pytest.raises(InvalidInputError):
-        pam_refine(dist, y, (0,), 0.0, 5)  # wrong size
+        pam_refine(dist, y, label_medoids(dist, (0,), y, 0.0), 0.0, 5)  # wrong size
+    # a start that is not a medoid set never becomes a seed
+    with pytest.raises(InvalidInputError, match="distinct"):
+        label_medoids(dist, (1, 1), y, 0.0)
+    with pytest.raises(InvalidInputError, match="range"):
+        label_medoids(dist, (0, 9), y, 0.0)
     with pytest.raises(InvalidInputError):
-        pam_refine(dist, y, (1, 1), 0.0, 5)  # duplicates
+        pam_refine(dist, y, seed, 0.0, 0)  # no sweeps
     with pytest.raises(InvalidInputError):
-        pam_refine(dist, y, (0, 9), 0.0, 5)  # out of range
-    with pytest.raises(InvalidInputError):
-        pam_refine(dist, y, (0, 3), 0.0, 0)  # no sweeps
-    with pytest.raises(InvalidInputError):
-        pam_refine(dist, y, (0, 3), 0.0, 5, "everything")
+        pam_refine(dist, y, seed, 0.0, 5, "everything")
     asymmetric = dist.copy()
     asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], np.inf)
     with pytest.raises(InvalidInputError, match="symmetric"):
-        pam_refine(asymmetric, y, (0, 3), 0.0, 5)
+        pam_refine(asymmetric, y, seed, 0.0, 5)
     with pytest.raises(InvalidInputError, match="symmetric"):
         greedy_inference(asymmetric, y, 0.0)
     with pytest.raises(InvalidInputError, match="square"):
@@ -233,8 +242,7 @@ def test_brute_force_dominates_heuristics():
         dist, y = random_instance(rng, m=9)
         gamma = (0.0, 0.5, 2.0)[trial % 3]
         exact = brute_force_inference(dist, y, gamma)
-        seed = greedy_inference(dist, y, gamma)
-        refined = pam_refine(dist, y, seed.medoids, gamma, 5)
+        seed, refined = infer(dist, y, gamma, 5)
         assert exact.objective >= refined.objective - 1e-9
         assert exact.objective >= seed.objective - 1e-9
 
@@ -252,14 +260,16 @@ def test_brute_force_refuses_huge_instances():
 def assert_same_result(got, want, instance):
     assert got.medoids == want.medoids, instance
     assert np.array_equal(got.assignment, want.assignment), instance
+    assert got.assignment.dtype == want.assignment.dtype, instance
     assert got.trace == want.trace, instance
     assert got.objective == want.objective, instance
 
 
 def test_batched_candidate_scoring_matches_reference_loops():
-    """Greedy and both refinement pools agree exactly, not approximately,
-    with the per-candidate loops they replaced. Every 7th instance has
-    integer embeddings, so distances tie and tie-breaking is exercised."""
+    """``infer`` agrees exactly, not approximately, with the per-candidate
+    greedy and refinement loops it replaced, in both pools. Every 7th
+    instance has integer embeddings, so distances tie and tie-breaking is
+    exercised."""
     rng = np.random.default_rng(41)
     for i in range(300):
         m = int(rng.integers(8, 28))
@@ -274,12 +284,9 @@ def test_batched_candidate_scoring_matches_reference_loops():
         )
         dist = pairwise_distances(EmbeddingBatch(emb))
         seed = greedy_reference(dist, y, gamma)
-        assert_same_result(greedy_inference(dist, y, gamma), seed, i)
-        assert_same_result(
-            pam_refine(dist, y, seed.medoids, gamma, 5, pool),
-            pam_refine_reference(dist, y, seed.medoids, gamma, 5, pool),
-            i,
-        )
+        greedy, refined = infer(dist, y, gamma, 5, pool)
+        assert_same_result(greedy, seed, i)
+        assert_same_result(refined, pam_refine_reference(dist, y, seed.medoids, gamma, 5, pool), i)
 
 
 @pytest.mark.parametrize(
@@ -291,8 +298,8 @@ def test_candidate_scoring_matches_reference_loops_at_evaluation_scale(
     m, num_classes, gamma, rounded
 ):
     """Above numpy's 128-element pairwise-summation block, a different
-    summation order would change the last bits of a facility score; greedy
-    and both refinement pools still equal the per-candidate loops under
+    summation order would change the last bits of a facility score; ``infer``
+    with either refinement pool still equals the per-candidate loops under
     ``==``. The instances are Gaussian blobs like the held-out data."""
     rng = np.random.default_rng(m + num_classes)
     y = np.arange(m) % num_classes
@@ -302,12 +309,11 @@ def test_candidate_scoring_matches_reference_loops_at_evaluation_scale(
     dist = pairwise_distances(EmbeddingBatch(emb))
     seed = greedy_reference(dist, y, gamma)
     instance = (m, num_classes, gamma, rounded)
-    assert_same_result(greedy_inference(dist, y, gamma), seed, instance)
     for pool in ("cluster", "all"):
+        greedy, refined = infer(dist, y, gamma, 5, pool)
+        assert_same_result(greedy, seed, instance)
         assert_same_result(
-            pam_refine(dist, y, seed.medoids, gamma, 5, pool),
-            pam_refine_reference(dist, y, seed.medoids, gamma, 5, pool),
-            (*instance, pool),
+            refined, pam_refine_reference(dist, y, seed.medoids, gamma, 5, pool), (*instance, pool)
         )
 
 
@@ -328,5 +334,5 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
             scores = _swap_scores(dist, y, gamma, pos, cands, *nearest)
             for cand, score in zip(cands, scores):
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
-                want = augmented_objective(dist, swapped, y, gamma)
+                want = label_medoids(dist, swapped, y, gamma).objective
                 assert score == pytest.approx(want, abs=1e-12), (i, pos, cand)

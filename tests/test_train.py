@@ -133,7 +133,7 @@ def test_evaluate_checks_recall_k_before_clustering(monkeypatch):
     def no_clustering(*args, **kwargs):
         raise AssertionError("clustering ran before the K check")
 
-    monkeypatch.setattr(train_module, "greedy_inference", no_clustering)
+    monkeypatch.setattr(train_module, "infer", no_clustering)
     rng = np.random.default_rng(5)
     batch = EmbeddingBatch(rng.normal(size=(6, 2)))
     with pytest.raises(InvalidInputError, match="k must be in"):
