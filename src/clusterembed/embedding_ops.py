@@ -70,15 +70,21 @@ def pairwise_squared_distances(batch: EmbeddingBatch) -> np.ndarray:
 
     Filled a block of rows at a time through one reused difference buffer;
     a fresh buffer per block would make the allocator map pages per call.
+    Each block of rows computes only the columns from its first row on,
+    then copies the part right of its own columns, transposed, into the
+    rows below: (a - b)^2 == (b - a)^2 and the sum over the dimensions
+    keeps its order, so every entry has the bits a direct computation gives.
     """
     e = batch.data
-    m = e.shape[0]
+    m, d = e.shape
     out = np.empty((m, m))
-    diff = np.empty((min(DISTANCE_BLOCK_ROWS, m), m, e.shape[1]))
+    buffer = np.empty(min(DISTANCE_BLOCK_ROWS, m) * m * d)
     for lo in range(0, m, DISTANCE_BLOCK_ROWS):
-        rows = diff[: m - lo]
-        np.subtract(e[lo : lo + DISTANCE_BLOCK_ROWS, None, :], e[None, :, :], out=rows)
-        np.einsum("ijk,ijk->ij", rows, rows, out=out[lo : lo + DISTANCE_BLOCK_ROWS])
+        hi = min(lo + DISTANCE_BLOCK_ROWS, m)
+        rows = buffer[: (hi - lo) * (m - lo) * d].reshape(hi - lo, m - lo, d)
+        np.subtract(e[lo:hi, None, :], e[None, lo:, :], out=rows)
+        np.einsum("ijk,ijk->ij", rows, rows, out=out[lo:hi, lo:])
+        out[hi:, lo:hi] = out[lo:hi, hi:].T
     return out
 
 

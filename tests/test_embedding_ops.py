@@ -62,8 +62,10 @@ def test_squared_distances_are_squares():
 
 def test_row_blocks_equal_one_shot_broadcast():
     rng = np.random.default_rng(10)
-    # one row, whole blocks only, and a ragged last block
-    for m in (1, 2 * DISTANCE_BLOCK_ROWS, 2 * DISTANCE_BLOCK_ROWS + 5):
+    # one row, whole blocks only, a ragged last block, and the held-out
+    # size with and without a ragged last block: the mirrored lower
+    # triangle must have the bits of a direct computation
+    for m in (1, 2 * DISTANCE_BLOCK_ROWS, 2 * DISTANCE_BLOCK_ROWS + 5, 1280, 1283):
         for emb in (rng.normal(size=(m, 7)) * 30, np.round(rng.normal(size=(m, 3)))):
             d2 = pairwise_squared_distances(EmbeddingBatch(emb))
             assert np.array_equal(d2, squared_distances_broadcast(emb))

@@ -219,6 +219,30 @@ def test_pam_validation():
         greedy_inference(dist[:, :3], y, 0.0)
 
 
+def test_infer_checks_its_input_once(monkeypatch):
+    """``infer`` rejects what greedy and refinement reject, and runs the
+    symmetry check once for both."""
+    dist, y = line_instance()
+    asymmetric = dist.copy()
+    asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], np.inf)
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        infer(asymmetric, y, 0.0, 5)
+    with pytest.raises(InvalidInputError, match="square"):
+        infer(dist[:, :3], y, 0.0, 5)
+    with pytest.raises(InvalidInputError):
+        infer(dist, np.array([0, 0, 2, 2]), 0.5, 5)
+    checks = []
+    check = inference._check_dist
+
+    def counted(dist):
+        checks.append(dist.shape)
+        check(dist)
+
+    monkeypatch.setattr(inference, "_check_dist", counted)
+    infer(dist, y, 0.5, 5)
+    assert checks == [dist.shape]
+
+
 def test_brute_force_tiny_enumeration():
     dist, y = line_instance()
     result = brute_force_inference(dist, y, gamma=0.0)
@@ -336,3 +360,46 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
                 want = label_medoids(dist, swapped, y, gamma).objective
                 assert score == pytest.approx(want, abs=1e-12), (i, pos, cand)
+
+
+def test_lazy_greedy_breaks_ties_across_blocks_like_full_scoring():
+    """At gamma = 0 greedy scores candidates in blocks of 64 rows, highest
+    bound first. Duplicate points on a small integer grid make runs of
+    exactly tied candidates longer than a block, so ties straddle block
+    boundaries; the result still equals full scoring under ``==``."""
+    rng = np.random.default_rng(43)
+    for i in range(12):
+        sites = rng.integers(-2, 3, size=(int(rng.integers(2, 9)), 2)) * 1.0
+        copies = int(rng.integers(40, 120))
+        emb = rng.permutation(np.repeat(sites, copies, axis=0))
+        m = len(emb)
+        num_classes = int(rng.integers(2, 13))
+        y = rng.permutation(np.arange(m) % num_classes)
+        dist = pairwise_distances(EmbeddingBatch(emb))
+        assert_same_result(greedy_inference(dist, y, 0.0), greedy_reference(dist, y, 0.0), i)
+
+
+def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
+    """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 score
+    every candidate and later steps only those whose bound reaches the best
+    score: under a quarter of the 40,464 rows that full scoring reads. With
+    the margin every step is one call over all candidates."""
+    rng = np.random.default_rng(1280 + 32)
+    y = np.arange(1280) % 32
+    emb = 3.0 * rng.normal(size=(32, 16))[y] + rng.normal(size=(1280, 16))
+    dist = pairwise_distances(EmbeddingBatch(emb))
+    rows = []
+
+    def counted(dist, y_star, gamma, pos, cands, *rest):
+        rows.append(len(cands))
+        return _swap_scores(dist, y_star, gamma, pos, cands, *rest)
+
+    monkeypatch.setattr(inference, "_swap_scores", counted)
+    greedy_inference(dist, y, 0.0)
+    assert rows[:2] == [1280, 1279]
+    assert sum(rows) < 0.25 * sum(range(1280 - 31, 1281))
+
+    rows.clear()
+    dist, y = dist[:129, :129], np.arange(129) % 32
+    greedy_inference(dist, y, 1.0)
+    assert rows == list(range(129, 129 - 32, -1))
