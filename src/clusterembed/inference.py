@@ -13,9 +13,8 @@ medoid/member exchanges; ``infer`` runs one after the other.
 
 The distance matrix must be exactly symmetric, as ``pairwise_distances``
 makes it: candidates are read as contiguous rows ``D[cands]``, which
-stand for the columns the objective sums over. ``greedy_inference``,
-``pam_refine`` and ``infer`` reject a matrix that is not; ``infer`` checks
-the matrix and labels once for both routines.
+stand for the columns the objective sums over. ``greedy_inference`` and
+``pam_refine`` reject a matrix that is not.
 
 Costs (m points, C medoids, K classes): every greedy step and every medoid
 position of a refinement sweep scores n <= m candidates, reading their
@@ -27,20 +26,24 @@ gamma = 0 scores its members' submatrix and reads no rows. With the
 margin, a step or position builds the (n, m) label matrix and scores it
 with one ``batched_margin`` call, O(n * m + n * C * K) array work, whose
 rows equal the scalar ``margin`` exactly, so maxima and ties are the
-scalar ones. Greedy at gamma = 0 is lazy (Minoux 1978): A is then
-monotone submodular, so a candidate's gain A(S + {i}) - A(S) from the
-step that last scored it bounds its gain now. Steps 0 and 1 score every
-candidate; later steps score candidates in blocks of 64 rows in order of
-decreasing bound (stable, so equal bounds keep index order), and stop
-once the next candidate's A(S) + bound falls below the best score less a
-slack of 1e-9 |A| (the first step's |A(S)|, the largest any step
-reaches), orders of magnitude above the rounding of a row sum. Every
-candidate that could tie the best is scored, each score is the row sum
-full scoring computes, and the pick is the smallest index with the best
-score, so medoids, ties and traces are those of full scoring. On held-out
-blobs at m = 1,280, C = 32 this scores about 6,100 of the 40,464
-candidate rows. With the margin A is not submodular, and every step scores
-every candidate. Greedy makes C steps and a sweep at most C positions.
+scalar ones. Greedy at gamma = 0 on a nonnegative matrix (every
+``pairwise_distances`` matrix) is lazy (Minoux 1978): A is then monotone
+submodular, so a candidate's gain A(S + {i}) - A(S) from the step that
+last scored it bounds its gain now. Steps 0 and 1 score every candidate;
+later steps score candidates in blocks of 64 rows in order of decreasing
+bound (stable, so equal bounds keep index order), and stop once the next
+candidate's A(S) + bound falls below the best score less a slack of
+1e-9 |A| (the first step's |A(S)|, the largest any step reaches), orders
+of magnitude above the rounding of a row sum. A gain is kept only when
+the A(S) it is taken from is finite, so inf distances leave bounds at inf
+and their candidates scored. Every candidate that could tie the best is
+scored, each score is the row sum full scoring computes, and the pick is
+the smallest index with the best score, so medoids, ties and traces are
+those of full scoring. On held-out blobs at m = 1,280, C = 32 this scores
+about 6,100 of the 40,464 candidate rows. With the margin A is not
+submodular, and every step scores every candidate in one call, as does
+every step on a matrix with a negative entry. Greedy makes C steps and a
+sweep at most C positions.
 Each medoid set is labelled once: refinement starts from the labels and
 A(S) of its seed, and after each sweep that changes the set makes one
 ``label_medoids`` call (one ``assign``, and one ``margin`` if gamma !=
@@ -196,32 +199,33 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     smallest candidate index.
     """
     _check_dist(dist)
-    y_star, num_classes = _check_labels(y_star, dist.shape[0])
-    return _greedy(dist, y_star, num_classes, gamma)
-
-
-def _greedy(dist: np.ndarray, y_star: np.ndarray, num_classes: int, gamma: float) -> InferenceResult:
-    """``greedy_inference`` on a checked matrix and labels, lazy at
-    gamma = 0 (see the module docstring)."""
     m = dist.shape[0]
+    y_star, num_classes = _check_labels(y_star, m)
+
     chosen: list[int] = []
     trace: list[float] = []
     # each point's nearest chosen medoid: distance and position
     best_dist = np.full(m, np.inf)
     best_pos = np.zeros(m, dtype=np.intp)
-    # each point's gain A(S + {i}) - A(S) when last scored; A of the empty
-    # set is -inf, so every gain stays inf until step 1 scores it
+    # each point's gain A(S + {i}) - A(S) when last scored; inf until then
     gain = np.full(m, np.inf)
+    # gains bound later gains at gamma = 0, where A is submodular; on a
+    # nonnegative matrix no |A(S)| exceeds the first step's, which sizes
+    # the slack
+    lazy_ok = gamma == 0.0 and bool(dist.min() >= 0)
     for step in range(num_classes):
         cands = np.delete(np.arange(m), chosen)
-        # from step 2 on every candidate has a finite bound at gamma = 0:
-        # past one block, score the highest first, stably, so equal bounds
-        # keep index order
-        lazy = gamma == 0.0 and step >= 2 and len(cands) > LAZY_BLOCK_ROWS
+        # gains exist from step 1 on, and only while A(S) is finite: a gain
+        # taken from -inf is inf or nan and bounds nothing
+        bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
+        # from step 2 on, score the highest bound first, stably, so equal
+        # bounds keep index order
+        lazy = bounded and step > 1
         order = cands[np.argsort(-gain[cands], kind="stable")] if lazy else cands
         hi = LAZY_BLOCK_ROWS if lazy else len(order)
         scores = _swap_scores(dist, y_star, gamma, step, order[:hi], best_dist, best_pos)
-        top = float(scores.max())
+        best = int(np.argmax(scores))
+        top = float(scores[best])
         # score on while the next bound reaches the best score less the slack
         while hi < len(order) and trace[-1] + gain[order[hi]] >= top - slack:
             block = order[hi : hi + LAZY_BLOCK_ROWS]
@@ -229,13 +233,12 @@ def _greedy(dist: np.ndarray, y_star: np.ndarray, num_classes: int, gamma: float
             scores = np.concatenate([scores, block_scores])
             top = max(top, float(block_scores.max()))
             hi += LAZY_BLOCK_ROWS
-        scored = order[:hi]
-        pick = int(scored[scores == top].min())
-        if gamma == 0.0 and step > 0:
-            gain[scored] = scores - trace[-1]
+        # the smallest index with the best score; ``cands`` is ascending
+        pick = int(order[:hi][scores == top].min()) if lazy else int(cands[best])
+        if bounded:
+            gain[order[:hi]] = scores - trace[-1]
         chosen.append(pick)
         trace.append(top)
-        # no later |A(S)| exceeds the first step's
         slack = LAZY_SLACK * abs(trace[0])
         best_pos[dist[pick] < best_dist] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
@@ -288,21 +291,8 @@ def pam_refine(
     well.
     """
     _check_dist(dist)
-    y_star, num_classes = _check_labels(y_star, dist.shape[0])
-    return _refine(dist, y_star, num_classes, seed, gamma, max_sweeps, candidate_pool)
-
-
-def _refine(
-    dist: np.ndarray,
-    y_star: np.ndarray,
-    num_classes: int,
-    seed: InferenceResult,
-    gamma: float,
-    max_sweeps: int,
-    candidate_pool: CandidatePool,
-) -> InferenceResult:
-    """``pam_refine`` on a checked matrix and labels."""
     m = dist.shape[0]
+    y_star, num_classes = _check_labels(y_star, m)
     medoids = list(seed.medoids)
     if len(medoids) != num_classes:
         raise InvalidInputError(
@@ -350,12 +340,9 @@ def infer(
     candidate_pool: CandidatePool = "cluster",
 ) -> tuple[InferenceResult, InferenceResult]:
     """Loss-augmented inference: ``greedy_inference``, then ``pam_refine``
-    from its result, on a matrix and labels checked once. Returns the greedy
-    and the refined result."""
-    _check_dist(dist)
-    y_star, num_classes = _check_labels(y_star, dist.shape[0])
-    greedy = _greedy(dist, y_star, num_classes, gamma)
-    return greedy, _refine(dist, y_star, num_classes, greedy, gamma, max_sweeps, candidate_pool)
+    from its result. Returns the greedy and the refined result."""
+    greedy = greedy_inference(dist, y_star, gamma)
+    return greedy, pam_refine(dist, y_star, greedy, gamma, max_sweeps, candidate_pool)
 
 
 def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:

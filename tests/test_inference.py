@@ -219,30 +219,6 @@ def test_pam_validation():
         greedy_inference(dist[:, :3], y, 0.0)
 
 
-def test_infer_checks_its_input_once(monkeypatch):
-    """``infer`` rejects what greedy and refinement reject, and runs the
-    symmetry check once for both."""
-    dist, y = line_instance()
-    asymmetric = dist.copy()
-    asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], np.inf)
-    with pytest.raises(InvalidInputError, match="symmetric"):
-        infer(asymmetric, y, 0.0, 5)
-    with pytest.raises(InvalidInputError, match="square"):
-        infer(dist[:, :3], y, 0.0, 5)
-    with pytest.raises(InvalidInputError):
-        infer(dist, np.array([0, 0, 2, 2]), 0.5, 5)
-    checks = []
-    check = inference._check_dist
-
-    def counted(dist):
-        checks.append(dist.shape)
-        check(dist)
-
-    monkeypatch.setattr(inference, "_check_dist", counted)
-    infer(dist, y, 0.5, 5)
-    assert checks == [dist.shape]
-
-
 def test_brute_force_tiny_enumeration():
     dist, y = line_instance()
     result = brute_force_inference(dist, y, gamma=0.0)
@@ -362,20 +338,61 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
                 assert score == pytest.approx(want, abs=1e-12), (i, pos, cand)
 
 
-def test_lazy_greedy_breaks_ties_across_blocks_like_full_scoring():
-    """At gamma = 0 greedy scores candidates in blocks of 64 rows, highest
-    bound first. Duplicate points on a small integer grid make runs of
-    exactly tied candidates longer than a block, so ties straddle block
-    boundaries; the result still equals full scoring under ``==``."""
+def tied_grid_instances():
+    """Duplicate points on a small integer grid: runs of exactly tied
+    candidates longer than a block, so ties straddle block boundaries."""
     rng = np.random.default_rng(43)
-    for i in range(12):
+    for _ in range(12):
         sites = rng.integers(-2, 3, size=(int(rng.integers(2, 9)), 2)) * 1.0
         copies = int(rng.integers(40, 120))
         emb = rng.permutation(np.repeat(sites, copies, axis=0))
-        m = len(emb)
         num_classes = int(rng.integers(2, 13))
-        y = rng.permutation(np.arange(m) % num_classes)
-        dist = pairwise_distances(EmbeddingBatch(emb))
+        y = rng.permutation(np.arange(len(emb)) % num_classes)
+        yield pairwise_distances(EmbeddingBatch(emb)), y
+
+
+def infinite_group_instances():
+    """Groups at inf distance from each other: A(S) is -inf until every
+    group holds a medoid, and a gain taken from -inf bounds nothing."""
+    rng = np.random.default_rng(40)
+    for i in range(40):
+        sizes = rng.integers(20, 90, size=int(rng.integers(2, 4)))
+        emb = rng.normal(size=(int(sizes.sum()), 3))
+        if i % 3 == 0:
+            emb = np.round(emb)
+        dist = pairwise_distances(EmbeddingBatch(emb)).copy()
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        dist[group[:, None] != group[None, :]] = np.inf
+        num_classes = int(rng.integers(2, 12))
+        yield dist, rng.permutation(np.arange(len(dist)) % num_classes)
+
+
+def cancelling_negative_instances():
+    """Entries of +-2^30..2^49 by the parity of i + j, plus small ties: every
+    row sum cancels far below its terms, so its rounding is not bounded by a
+    share of |A|. Lazy greedy on these picks differently from full scoring
+    in two of the 52 instances."""
+    rng = np.random.default_rng(1)
+    for _ in range(52):
+        m = int(rng.integers(66, 160))
+        big = float(2.0 ** rng.integers(30, 50))
+        idx = np.arange(m)
+        sign = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
+        small = rng.integers(0, 4, size=(m, m)) * 0.25
+        num_classes = int(rng.integers(3, 12))
+        yield sign * big + small + small.T, rng.permutation(idx % num_classes)
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [tied_grid_instances, infinite_group_instances, cancelling_negative_instances],
+    ids=["tied-grid", "infinite-groups", "cancelling-negative"],
+)
+def test_lazy_greedy_equals_full_scoring(instances):
+    """At gamma = 0 greedy scores candidates in blocks of 64 rows, highest
+    bound first, wherever the bounds hold; on every instance it equals full
+    scoring under ``==``."""
+    for i, (dist, y) in enumerate(instances()):
         assert_same_result(greedy_inference(dist, y, 0.0), greedy_reference(dist, y, 0.0), i)
 
 
