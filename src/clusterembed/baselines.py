@@ -14,6 +14,10 @@ squared distances, the lifted loss unsquared distances, and N-pairs raw
 dot products. Each function returns (loss value, gradient w.r.t. the
 embedding rows) with mined indices and hinge activity frozen, hinges
 inactive at exactly zero.
+
+Each loss works on a (|P|, m) array, one row of the pairwise matrix per
+positive pair, and collects its derivative by that matrix in one m x m
+coefficient matrix, from which one matrix product gives the gradient.
 """
 
 from __future__ import annotations
@@ -30,28 +34,30 @@ from .embedding_ops import (
 from .errors import DegenerateRowError, InvalidInputError
 
 
-def positive_pairs(y: np.ndarray) -> list[tuple[int, int]]:
-    """Ordered same-label pairs (i, j), i != j, in row-major order."""
-    y = np.asarray(y)
-    same = y[:, None] == y[None, :]
-    np.fill_diagonal(same, False)
-    return list(map(tuple, np.argwhere(same).tolist()))
-
-
-def _mine(y: np.ndarray) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
-    """Ordered positive pairs and, per anchor, the indices with another label.
+def _mine(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor and positive indices of the ordered positive pairs, and the
+    m x m mask of pairs with different labels.
 
     Every anchor has a negative exactly when the batch holds more than one
     class, so that and a nonempty pair set are all a loss needs checked.
     """
     y = np.asarray(y)
-    pairs = positive_pairs(y)
-    if not pairs:
-        raise InvalidInputError("batch has no positive pairs")
     differ = y[:, None] != y[None, :]
+    same = ~differ
+    np.fill_diagonal(same, False)
+    anchor, positive = np.nonzero(same)
+    if anchor.size == 0:
+        raise InvalidInputError("batch has no positive pairs")
     if not differ.any():
         raise InvalidInputError("batch has a single class, so no anchor has negatives")
-    return pairs, [np.flatnonzero(row) for row in differ]
+    return anchor, positive, differ
+
+
+def _pair_grad(coeff: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Gradient of (1/2) sum_ab C[a, b] ||E_a - E_b||^2 for the coefficient
+    matrix C = ``coeff``: row a is sum_b (C[a, b] + C[b, a]) (E_a - E_b)."""
+    w = coeff + coeff.T
+    return w.sum(axis=1)[:, None] * emb - w @ emb
 
 
 def triplet_semihard_loss(
@@ -65,27 +71,25 @@ def triplet_semihard_loss(
     instead. Gradients flow through the active hinge terms with k* frozen.
     """
     emb = batch.data
-    pairs, negatives = _mine(y)
+    anchor, positive, differ = _mine(y)
     d2 = pairwise_squared_distances(batch)
 
-    total = 0.0
-    grad = np.zeros_like(emb)
-    for i, j in pairs:
-        neg = negatives[i]
-        neg_d2 = d2[i, neg]
-        beyond = neg_d2 > d2[i, j]
-        if np.any(beyond):
-            k = int(neg[beyond][int(np.argmin(neg_d2[beyond]))])
-        else:
-            k = int(neg[int(np.argmax(neg_d2))])
-        term = d2[i, j] + alpha - d2[i, k]
-        if term > 0.0:
-            total += term
-            grad[i] += 2.0 * (emb[i] - emb[j]) - 2.0 * (emb[i] - emb[k])
-            grad[j] -= 2.0 * (emb[i] - emb[j])
-            grad[k] += 2.0 * (emb[i] - emb[k])
-    n = len(pairs)
-    return total / n, grad / n
+    rows, negative = d2[anchor], differ[anchor]
+    pos_d2 = d2[anchor, positive]
+    beyond = negative & (rows > pos_d2[:, None])
+    lowest = np.where(beyond, rows, np.inf)
+    # the first beyond index at the row minimum, also when that minimum is inf
+    semi = np.argmax(beyond & (lowest == lowest.min(axis=1, keepdims=True)), axis=1)
+    farthest = np.argmax(np.where(negative, rows, -np.inf), axis=1)
+    k = np.where(beyond.any(axis=1), semi, farthest)
+    term = pos_d2 + alpha - d2[anchor, k]
+    active = term > 0.0
+
+    n = anchor.size
+    coeff = np.zeros_like(d2)
+    coeff[anchor[active], positive[active]] = 1.0 / n
+    np.add.at(coeff, (anchor[active], k[active]), -1.0 / n)
+    return term[active].sum() / n, 2.0 * _pair_grad(coeff, emb)
 
 
 def lifted_struct_loss(
@@ -100,48 +104,32 @@ def lifted_struct_loss(
 
     and the loss is (1 / (2|P|)) * sum [J]_+^2 over unsquared distances.
     The log-sum-exp is max-shifted for stability; the analytic gradient
-    chains through the softmax weights of the negative terms.
-
-    The unit directions (E_a - E_k) / D(a, k) are tabulated once per batch,
-    an m x m x d array (2 MB at m = 128, d = 16): sized for training
-    batches, not for evaluation-scale m.
+    chains through the softmax weights of the negative terms. Coincident
+    points (D <= ZERO_NORM_TOL) pass no gradient between them.
     """
     emb = batch.data
-    pairs, negatives = _mine(y)
+    m = emb.shape[0]
+    anchor, positive, differ = _mine(y)
     dist = pairwise_distances(batch)
-    units = emb[:, None, :] - emb[None, :, :]
-    apart = dist > ZERO_NORM_TOL  # coincident points get a zero direction
-    np.divide(units, dist[:, :, None], out=units, where=apart[:, :, None])
-    units[~apart] = 0.0
 
-    n = len(pairs)
-    total = 0.0
-    grad = np.zeros_like(emb)
-    for i, j in pairs:
-        ni, nj = negatives[i], negatives[j]
-        exponents = np.concatenate([alpha - dist[i, ni], alpha - dist[j, nj]])
-        shift = exponents.max()
-        weights = np.exp(exponents - shift)
-        z = weights.sum()
-        jval = shift + np.log(z) + dist[i, j]
-        if jval <= 0.0:
-            continue
-        total += jval * jval
-        coeff = jval / n  # d/dJ of J^2/(2n)
-        weights /= z
-        wi, wj = weights[: ni.size], weights[ni.size :]
-        # d J / d D(i,j) = 1
-        grad[i] += coeff * units[i, j]
-        grad[j] -= coeff * units[i, j]
-        # d J / d D(i,k) = -w_ik, likewise for the j side; negatives are
-        # distinct, so plain fancy-index += scatters them
-        ui = units[i, ni]
-        grad[i] -= coeff * (wi[:, None] * ui).sum(axis=0)
-        grad[ni] += coeff * wi[:, None] * ui
-        uj = units[j, nj]
-        grad[j] -= coeff * (wj[:, None] * uj).sum(axis=0)
-        grad[nj] += coeff * wj[:, None] * uj
-    return total / (2.0 * n), grad
+    expo = np.where(differ, alpha - dist, -np.inf)
+    exponents = np.concatenate([expo[anchor], expo[positive]], axis=1)
+    shift = exponents.max(axis=1)
+    weights = np.exp(exponents - shift[:, None])
+    z = weights.sum(axis=1)
+    jval = shift + np.log(z) + dist[anchor, positive]
+    hinge = np.maximum(jval, 0.0)
+
+    n = anchor.size
+    scale = hinge / n  # d/dJ of J^2/(2n)
+    weights *= (scale / z)[:, None]
+    # dJ/dD(i,j) = 1, dJ/dD(i,k) = -w_ik, likewise for the j side
+    coeff = np.zeros((m, m))
+    np.add.at(coeff, anchor, -weights[:, :m])
+    np.add.at(coeff, positive, -weights[:, m:])
+    coeff[anchor, positive] += scale
+    per_dist = np.divide(coeff, dist, out=np.zeros_like(coeff), where=dist > ZERO_NORM_TOL)
+    return (hinge * hinge).sum() / (2.0 * n), _pair_grad(per_dist, emb)
 
 
 def npairs_loss(
@@ -156,27 +144,26 @@ def npairs_loss(
     """
     emb = batch.data
     m = emb.shape[0]
-    pairs, negatives = _mine(y)
+    anchor, positive, differ = _mine(y)
     sims = pairwise_similarities(batch)
 
-    n = len(pairs)
-    total = 0.0
-    grad = np.zeros_like(emb)
-    for i, j in pairs:
-        ni = negatives[i]
-        scores = np.concatenate([[sims[i, j]], sims[i, ni]])
-        shift = scores.max()
-        expd = np.exp(scores - shift)
-        z = expd.sum()
-        total += shift + np.log(z) - sims[i, j]
-        probs = expd / z
-        # d term / d S(i,j) = p_j - 1; d term / d S(i,k) = p_k
-        grad[i] += (probs[0] - 1.0) * emb[j]
-        grad[j] += (probs[0] - 1.0) * emb[i]
-        grad[i] += probs[1:] @ emb[ni]
-        grad[ni] += probs[1:, None] * emb[i]
-    total /= n
-    grad /= n
+    pair = np.arange(anchor.size)
+    scored = differ[anchor]
+    scored[pair, positive] = True
+    scores = np.where(scored, sims[anchor], -np.inf)
+    shift = scores.max(axis=1)
+    probs = np.exp(scores - shift[:, None])
+    z = probs.sum(axis=1)
+    terms = shift + np.log(z) - sims[anchor, positive]
+    probs /= z[:, None]
+
+    n = anchor.size
+    # d term / d S(i,j) = p_j - 1; d term / d S(i,k) = p_k
+    probs[pair, positive] -= 1.0
+    coeff = np.zeros((m, m))
+    np.add.at(coeff, anchor, probs / n)
+    total = terms.sum() / n
+    grad = (coeff + coeff.T) @ emb
 
     if reg_lambda != 0.0:
         norms = np.linalg.norm(emb, axis=1)

@@ -19,7 +19,6 @@ the two facility scores through the embedding distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

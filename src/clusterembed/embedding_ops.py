@@ -7,7 +7,7 @@ identical outputs regardless of thread settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -249,6 +249,13 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     )
 
 
+def _check_refine_args(max_sweeps: int, candidate_pool: CandidatePool) -> None:
+    if max_sweeps < 1:
+        raise InvalidInputError("refinement needs at least one sweep")
+    if candidate_pool not in get_args(CandidatePool):
+        raise InvalidInputError(f"unknown candidate pool {candidate_pool!r}")
+
+
 def pam_refine(
     dist: np.ndarray,
     y_star: np.ndarray,
@@ -298,10 +305,7 @@ def pam_refine(
         raise InvalidInputError(
             f"seed medoid set has size {len(medoids)}, expected {num_classes}"
         )
-    if max_sweeps < 1:
-        raise InvalidInputError("refinement needs at least one sweep")
-    if candidate_pool not in get_args(CandidatePool):
-        raise InvalidInputError(f"unknown candidate pool {candidate_pool!r}")
+    _check_refine_args(max_sweeps, candidate_pool)
 
     # the labelled current set, renewed when a sweep changes it
     current = seed
@@ -341,6 +345,7 @@ def infer(
 ) -> tuple[InferenceResult, InferenceResult]:
     """Loss-augmented inference: ``greedy_inference``, then ``pam_refine``
     from its result. Returns the greedy and the refined result."""
+    _check_refine_args(max_sweeps, candidate_pool)  # before greedy's work
     greedy = greedy_inference(dist, y_star, gamma)
     return greedy, pam_refine(dist, y_star, greedy, gamma, max_sweeps, candidate_pool)
 

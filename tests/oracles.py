@@ -7,7 +7,6 @@ the package code is unlikely.
 
 import numpy as np
 
-from clusterembed.baselines import positive_pairs
 from clusterembed.embedding_ops import (
     ZERO_NORM_TOL,
     EmbeddingBatch,
@@ -316,8 +315,16 @@ def squared_distances_broadcast(emb: np.ndarray) -> np.ndarray:
 
 
 # The three comparison losses as first written: per-pair unit rows and
-# np.add.at scatters. Kept verbatim as the bit-for-bit regression reference
-# for the per-batch versions in clusterembed.baselines.
+# np.add.at scatters. Kept verbatim as the regression reference, within
+# 1e-12, for the array versions in clusterembed.baselines.
+
+
+def positive_pairs(y: np.ndarray) -> list[tuple[int, int]]:
+    """Ordered same-label pairs (i, j), i != j, in row-major order."""
+    y = np.asarray(y)
+    same = y[:, None] == y[None, :]
+    np.fill_diagonal(same, False)
+    return list(map(tuple, np.argwhere(same).tolist()))
 
 
 def _negatives_reference(y: np.ndarray) -> list[np.ndarray]:

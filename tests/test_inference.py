@@ -219,6 +219,19 @@ def test_pam_validation():
         greedy_inference(dist[:, :3], y, 0.0)
 
 
+@pytest.mark.parametrize(
+    "max_sweeps, pool, match", [(0, "cluster", "sweep"), (5, "everything", "candidate pool")]
+)
+def test_infer_checks_refinement_arguments_before_greedy(monkeypatch, max_sweeps, pool, match):
+    def no_greedy(*args):
+        raise AssertionError("greedy ran before the refinement arguments were checked")
+
+    monkeypatch.setattr(inference, "greedy_inference", no_greedy)
+    dist, y = line_instance()
+    with pytest.raises(InvalidInputError, match=match):
+        infer(dist, y, 0.0, max_sweeps, pool)
+
+
 def test_brute_force_tiny_enumeration():
     dist, y = line_instance()
     result = brute_force_inference(dist, y, gamma=0.0)
