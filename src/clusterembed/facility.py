@@ -56,16 +56,22 @@ def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int
     in class-id order; the medoids are needed again by the gradient.
     """
     y_star = np.asarray(y_star)
+    if y_star.shape != (len(dist),):
+        raise InvalidInputError(
+            f"need one class id for each of {len(dist)} points, got {y_star.shape}"
+        )
     num_classes = int(y_star.max()) + 1 if y_star.size else 0
+    missing = np.setdiff1d(np.arange(num_classes), y_star)
+    if missing.size:
+        raise InvalidInputError(f"class {missing[0]} has no members")
+    # column sums restricted to each column's class; ``where`` keeps an inf
+    # distance inf, where a multiply by 0 would make it nan
+    costs = np.where(y_star[:, None] == y_star, dist, 0.0).sum(axis=0)
+    # per class, the member of least cost, ties to the smallest index
+    order = np.lexsort((costs, y_star))
+    medoids = order[np.searchsorted(y_star[order], np.arange(num_classes))]
+    # a running total in class order; ``np.sum`` would add pairwise
     total = 0.0
-    medoids = []
-    for k in range(num_classes):
-        members = np.flatnonzero(y_star == k)
-        if members.size == 0:
-            raise InvalidInputError(f"class {k} has no members")
-        # column sums restricted to the class; argmin = best member medoid
-        costs = dist[np.ix_(members, members)].sum(axis=0)
-        best = int(np.argmin(costs))
-        medoids.append(int(members[best]))
-        total -= float(costs[best])
-    return total, tuple(medoids)
+    for cost in costs[medoids].tolist():
+        total -= cost
+    return total, tuple(medoids.tolist())

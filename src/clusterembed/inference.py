@@ -23,10 +23,14 @@ keeps it as running state, O(m) per step, and refinement derives it per
 position from the other medoids' rows, O(m * C). Without the margin a
 scored candidate costs one row, O(m); the within-cluster refinement at
 gamma = 0 scores its members' submatrix and reads no rows. With the
-margin, a step or position builds the (n, m) label matrix and scores it
-with one ``batched_margin`` call, O(n * m + n * C * K) array work, whose
-rows equal the scalar ``margin`` exactly, so maxima and ties are the
-scalar ones. Greedy at gamma = 0 on a nonnegative matrix (every
+margin, a step or position finds which points each candidate takes from
+the other medoids, an (n, m) mask, and scores the margins with one
+``SwapMargins`` call (built once per greedy or refinement call). That
+call counts only the points a candidate moves: O(m + C * K + moves +
+n * (C + K)) beyond the mask, with no n * C * K table. Its sums of
+x ln x are exact integers in fixed point, so every candidate's margin
+has the bits of the scalar ``margin`` of its labels, and maxima and ties
+are the scalar ones. Greedy at gamma = 0 on a nonnegative matrix (every
 ``pairwise_distances`` matrix) is lazy (Minoux 1978): A is then monotone
 submodular, so a candidate's gain A(S + {i}) - A(S) from the step that
 last scored it bounds its gain now. Steps 0 and 1 score every candidate;
@@ -62,7 +66,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError
 from .facility import assign
-from .metrics import batched_margin, margin
+from .metrics import SwapMargins, margin
 
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_CAP = 10**6
@@ -156,8 +160,8 @@ def _nearest_other(
 
 def _swap_scores(
     dist: np.ndarray,
-    y_star: np.ndarray,
     gamma: float,
+    margins: SwapMargins | None,
     pos: int,
     cands: np.ndarray,
     other_min: np.ndarray | None,
@@ -169,6 +173,7 @@ def _swap_scores(
     distance ``other_min`` from position ``other_pos`` (``_nearest_other``).
 
     Labels follow ``assign``: nearest medoid, ties to the smallest position.
+    ``margins`` scores against the true classes when gamma != 0.
     ``facility`` replaces the exact facility part, one value per candidate;
     given it at gamma = 0, the call returns it and the other medoids may be
     None.
@@ -181,13 +186,12 @@ def _swap_scores(
         # a candidate takes a point when strictly closer than the other
         # medoids, or as close as the nearest of them and earlier in order
         takes = (cand_dist < other_min) | ((cand_dist == other_min) & (pos < other_pos))
-        labels = np.where(takes, pos, other_pos)
     if facility is None:
-        # in place: the labels above were the last reader of the raw rows
+        # in place: ``takes`` above was the last reader of the raw rows
         facility = -np.minimum(cand_dist, other_min, out=cand_dist).sum(axis=1)
     if gamma == 0.0:
         return facility
-    return facility + gamma * batched_margin(labels, y_star)
+    return facility + gamma * margins(other_pos, pos, takes)
 
 
 def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
@@ -213,6 +217,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     # nonnegative matrix no |A(S)| exceeds the first step's, which sizes
     # the slack
     lazy_ok = gamma == 0.0 and bool(dist.min() >= 0)
+    margins = SwapMargins(y_star) if gamma != 0.0 else None
     for step in range(num_classes):
         cands = np.delete(np.arange(m), chosen)
         # gains exist from step 1 on, and only while A(S) is finite: a gain
@@ -223,13 +228,13 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         lazy = bounded and step > 1
         order = cands[np.argsort(-gain[cands], kind="stable")] if lazy else cands
         hi = LAZY_BLOCK_ROWS if lazy else len(order)
-        scores = _swap_scores(dist, y_star, gamma, step, order[:hi], best_dist, best_pos)
+        scores = _swap_scores(dist, gamma, margins, step, order[:hi], best_dist, best_pos)
         best = int(np.argmax(scores))
         top = float(scores[best])
         # score on while the next bound reaches the best score less the slack
         while hi < len(order) and trace[-1] + gain[order[hi]] >= top - slack:
             block = order[hi : hi + LAZY_BLOCK_ROWS]
-            block_scores = _swap_scores(dist, y_star, gamma, step, block, best_dist, best_pos)
+            block_scores = _swap_scores(dist, gamma, margins, step, block, best_dist, best_pos)
             scores = np.concatenate([scores, block_scores])
             top = max(top, float(block_scores.max()))
             hi += LAZY_BLOCK_ROWS
@@ -307,6 +312,7 @@ def pam_refine(
         )
     _check_refine_args(max_sweeps, candidate_pool)
 
+    margins = SwapMargins(y_star) if gamma != 0.0 else None
     # the labelled current set, renewed when a sweep changes it
     current = seed
     trace: list[float] = []
@@ -325,7 +331,7 @@ def pam_refine(
                 surrogate = -dist[np.ix_(members, cands)].sum(axis=0)
             if surrogate is None or gamma != 0.0:  # else the surrogate is the score
                 other_min, other_pos = _nearest_other(dist, medoids, k)
-            scores = _swap_scores(dist, y_star, gamma, k, cands, other_min, other_pos, surrogate)
+            scores = _swap_scores(dist, gamma, margins, k, cands, other_min, other_pos, surrogate)
             pick = int(cands[int(np.argmax(scores))])
             if pick != medoids[k]:
                 medoids[k] = pick

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -15,10 +16,10 @@ def _compact_ids(y: np.ndarray, limit: int) -> np.ndarray:
     """Integer ids shifted to start at 0, so tables indexed by them need no
     empty leading rows. Ids spread over more than ``limit`` values are
     instead relabelled to 0..C-1 in sorted order, which keeps a table built
-    from them small whatever the ids are (``_batched_nmi`` allocates one
-    bin per possible id pair). Either way only empty table rows and
-    columns are dropped, so every count, and every sum over nonzero cells
-    in row-major order, keeps its bits."""
+    from them small whatever the ids are (a joint count allocates one bin
+    per possible id pair). Either way only empty table rows and columns are
+    dropped, so every count, and every sum over nonzero cells in row-major
+    order, keeps its bits."""
     y = np.asarray(y, dtype=np.intp)
     low = int(y.min())
     if int(y.max()) - low < limit:
@@ -26,91 +27,38 @@ def _compact_ids(y: np.ndarray, limit: int) -> np.ndarray:
     return np.unique(y, return_inverse=True)[1].reshape(y.shape)
 
 
-def _row_sums(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Sum of ``values`` per row for rows 0..n-1, where ``rows`` (sorted)
-    names the row of each value; a row with no values sums to 0.0.
-
-    Each sum has the bits ``np.sum`` gives over that row's values alone.
-    ``np.sum`` adds a row pairwise, starting from its 0.0 identity, while
-    ``np.add.reduceat`` adds a slice pairwise after its first element, so a
-    0.0 put at the start of each slice makes the two run the same additions.
-    This rests on numpy's pairwise summation, which the tests compare with
-    ``np.sum`` across its unrolled and blocked lengths.
-    """
-    first = np.searchsorted(rows, np.arange(n))
-    padded = np.insert(values, first, 0.0)
-    return np.add.reduceat(padded, first + np.arange(n))
-
-
-def _label_pair(y1: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two label vectors as arrays, which must be 1-D of one length."""
+def _contingency(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """Joint counts of two nonempty label vectors of one length: one row
+    per cluster id of ``y1`` and one column per id of ``y2``, both
+    compacted."""
     y1 = np.asarray(y1)
     y2 = np.asarray(y2)
     if y1.shape != y2.shape or y1.ndim != 1:
         raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
-    return y1, y2
-
-
-def _batched_nmi(labels: np.ndarray, y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """NMI of every row of an (n, m) label matrix with ``y_star``; see
-    ``nmi``. Also returns, per row, whether it induces the same partition
-    as ``y_star``: every nonempty cluster and every class then hold one
-    nonzero cell of the joint count.
-
-    One ``bincount`` counts the joint (row, label, true class) cells, and
-    the work after it touches only the nonzero cells, so one call costs
-    O(n * m) array work plus a table of n * C * K bins for C label ids and
-    K classes. H(y_star) is computed once. The MI and row entropy terms of
-    a row are summed by ``_row_sums`` in the order ``np.sum`` sums one
-    row's terms, so every row has the bits of a one-row call.
-    """
-    labels = np.asarray(labels)
-    y_star = np.asarray(y_star)
-    if labels.ndim != 2 or y_star.ndim != 1 or labels.shape[1] != y_star.size:
-        raise InvalidInputError(f"label shape mismatch: {labels.shape} vs {y_star.shape}")
-    n, m = labels.shape
-    if m == 0:
+    if y1.size == 0:
         raise InvalidInputError("labels must be nonempty")
-    if n == 0:
-        return np.zeros(0), np.zeros(0, dtype=bool)
-    truth = _compact_ids(y_star, m)
-    num_classes = int(truth.max()) + 1
-    rows = _compact_ids(labels, m)
-    num_ids = int(rows.max()) + 1
-    # cluster (r, c) of row r is id r * num_ids + c
-    clusters = rows + num_ids * np.arange(n)[:, None]
-    cell_ids = (clusters * num_classes + truth).ravel()
-    joint = np.bincount(cell_ids, minlength=n * num_ids * num_classes)
-    cells = np.flatnonzero(joint > 0)
-    counts = joint[cells]
-    cell_cluster, cell_class = np.divmod(cells, num_classes)
-    cell_row = cell_cluster // num_ids
-    sizes = np.bincount(clusters.ravel(), minlength=n * num_ids)
-    col = np.bincount(truth, minlength=num_classes)
-    # p_ij log(p_ij / (p_i p_j)) with p = count / m throughout
-    terms = counts / m * np.log(counts * m / (sizes[cell_cluster] * col[cell_class]))
-    mi = _row_sums(terms, cell_row, n)
-    nonempty = np.flatnonzero(sizes > 0)
-    p = sizes[nonempty] / m
-    nonempty_row = nonempty // num_ids
-    h_rows = -_row_sums(p * np.log(p), nonempty_row, n)
-    q = col[col > 0] / m
-    h_star = -np.sum(q * np.log(q))
-    num_cells = np.bincount(cell_row, minlength=n)
-    same = (num_cells == np.bincount(nonempty_row, minlength=n)) & (
-        num_cells == np.count_nonzero(col)
-    )
-    scored = (h_rows != 0.0) & (h_star != 0.0)
-    nmi_rows = np.zeros(n)
-    nmi_rows[scored] = np.clip(mi[scored] / np.sqrt(h_rows[scored] * h_star), 0.0, 1.0)
-    nmi_rows[same] = 1.0
-    return nmi_rows, same
+    rows = _compact_ids(y1, y1.size)
+    cols = _compact_ids(y2, y2.size)
+    shape = (int(rows.max()) + 1, int(cols.max()) + 1)
+    flat = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1])
+    return flat.reshape(shape)
+
+
+def _one_to_one(joint: np.ndarray) -> bool:
+    """Whether every nonempty row and column of a joint count holds one
+    nonzero cell: the two labelings then induce the same partition."""
+    cells = np.count_nonzero(joint)
+    return cells == np.count_nonzero(joint.any(axis=1)) == np.count_nonzero(joint.any(axis=0))
+
+
+def _entropy(counts: np.ndarray, m: int) -> float:
+    p = counts[counts > 0] / m
+    return -float(np.sum(p * np.log(p)))
 
 
 def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
     """True when the two label vectors induce the same partition of indices."""
-    y1, y2 = _label_pair(y1, y2)
-    return bool(_batched_nmi(y1[None], y2)[1][0])
+    return bool(_one_to_one(_contingency(y1, y2)))
 
 
 def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
@@ -120,29 +68,165 @@ def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
     Permutation invariant. When either assignment has zero entropy the ratio
     is undefined; by convention the result is 1 when the two partitions are
     identical and 0 otherwise. Identical partitions short-circuit to exactly
-    1.0 so the identity holds without floating-point slack. This is the
-    one-row case of ``batched_margin``'s computation, so the two agree
-    exactly.
+    1.0 so the identity holds without floating-point slack. Each sum runs
+    with ``np.sum`` over the nonzero cells (or sizes) in row-major order.
     """
-    y1, y2 = _label_pair(y1, y2)
-    return float(_batched_nmi(y1[None], y2)[0][0])
+    joint = _contingency(y1, y2)
+    if _one_to_one(joint):
+        return 1.0
+    m = int(joint.sum())
+    row = joint.sum(axis=1)
+    col = joint.sum(axis=0)
+    h1 = _entropy(row, m)
+    h2 = _entropy(col, m)
+    if h1 == 0.0 or h2 == 0.0:
+        return 0.0
+    i, j = np.nonzero(joint)
+    counts = joint[i, j]
+    # p_ij log(p_ij / (p_i p_j)) with p = count / m throughout
+    mi = np.sum(counts / m * np.log(counts * m / (row[i] * col[j])))
+    return float(np.clip(mi / np.sqrt(h1 * h2), 0.0, 1.0))
+
+
+def _fraction_bits(m: int) -> int:
+    """Binary places of ``_xlogx_table(m)``. No sum of x ln x over a
+    partition of m points exceeds m ln m, so with these places such sums,
+    and the difference of three of them, stay below 2**62."""
+    return 61 - math.ceil(m * math.log(m)).bit_length()
+
+
+def _xlogx_table(m: int) -> np.ndarray:
+    """x ln x for x = 0..m in int64 fixed point, rounded to
+    ``_fraction_bits(m)`` binary places. Sums over it are exact integers,
+    whatever the order of their terms."""
+    x = np.arange(m + 1)
+    return np.rint(np.ldexp(x * np.log(np.maximum(x, 1)), _fraction_bits(m))).astype(np.int64)
+
+
+def _margins(
+    s_joint: np.ndarray, s_sizes: np.ndarray, s_classes: int,
+    cells: np.ndarray, clusters: np.ndarray, classes: int, m: int,
+) -> np.ndarray:
+    """1 - NMI of labelings of m points against one truth, from the
+    fixed-point sums S = sum of x ln x (``_xlogx_table(m)``) over the
+    nonzero joint cells, the cluster sizes and the class sizes, and from
+    the number of nonzero cells, clusters and classes.
+
+    With p = count / m, MI = ln m + (S_joint - S_sizes - S_classes) / m
+    and H = ln m - S / m. The integer counts, not the float entropies,
+    decide the special cases: a labeling with as many nonzero cells as
+    clusters and classes is the truth's partition (margin 0.0), and one
+    cluster or one class has zero entropy (margin 1.0 otherwise). In fixed
+    point the H of one cluster is near 1e-16, not 0.
+    """
+    scale = m * 2.0 ** _fraction_bits(m)
+    log_m = math.log(m)
+    margins = np.ones(len(s_joint))
+    scored = (clusters > 1) & (classes > 1)
+    sizes = s_sizes[scored]
+    mi = log_m + (s_joint[scored] - sizes - s_classes) / scale
+    h = (log_m - sizes / scale) * (log_m - s_classes / scale)
+    margins[scored] = 1.0 - np.clip(mi / np.sqrt(h), 0.0, 1.0)
+    margins[(cells == clusters) & (cells == classes)] = 0.0
+    return margins
 
 
 def margin(y: np.ndarray, y_star: np.ndarray) -> float:
     """Structured margin 1 - NMI: 0 for a perfect clustering (up to label
-    permutation), 1 for statistically independent assignments."""
-    return 1.0 - nmi(y, y_star)
+    permutation), 1 for statistically independent assignments.
 
-
-def batched_margin(labels: np.ndarray, y_star: np.ndarray) -> np.ndarray:
-    """``margin(row, y_star)`` for every row of an (n, m) label matrix, in
-    one vectorized call whose rows equal the scalar ``margin`` bit for bit.
-
-    A row that induces the same partition as ``y_star`` scores exactly 0.0,
-    and a row or ``y_star`` with zero entropy scores 1.0 otherwise, as in
-    ``margin``.
+    Computed from exact integer sums over ``_xlogx_table``, not from
+    ``nmi``'s float terms, so every ``SwapMargins`` row that materializes
+    to ``y`` has its bits, and labelings with equal counts score the same
+    bits whatever their ids. It lies within about 1e-14 of ``1 - nmi``.
     """
-    return 1.0 - _batched_nmi(labels, y_star)[0]
+    joint = _contingency(y, y_star)
+    m = int(joint.sum())
+    xlogx = _xlogx_table(m)
+    sizes = joint.sum(axis=1)
+    classes = joint.sum(axis=0)
+    return float(_margins(
+        np.array([xlogx[joint].sum()]), np.array([xlogx[sizes].sum()]), xlogx[classes].sum(),
+        np.array([np.count_nonzero(joint)]), np.array([np.count_nonzero(sizes)]),
+        np.count_nonzero(classes), m,
+    )[0])
+
+
+class SwapMargins:
+    """``margin`` against one ``y_star`` of labelings that move some points
+    of a base labeling into one cluster: a candidate medoid's labels. Holds
+    what every call shares, ``_xlogx_table(m)`` and the class counts, so an
+    inference routine builds one per call.
+
+    A call costs O(n * m) to find the moved points and O(m + C * K + moves
+    + n * (C + K)) to count them, for n rows, C label ids and K classes;
+    no n * C * K table is built.
+    """
+
+    def __init__(self, y_star: np.ndarray) -> None:
+        y_star = np.asarray(y_star)
+        self.truth = _compact_ids(y_star, y_star.size)
+        classes = np.bincount(self.truth)
+        self.num_classes = classes.size
+        self.nonempty_classes = np.count_nonzero(classes)
+        self.xlogx = _xlogx_table(y_star.size)
+        self.s_classes = self.xlogx[classes].sum()
+
+    def __call__(self, base: np.ndarray, pos: int, takes: np.ndarray) -> np.ndarray:
+        """``margin(np.where(row, pos, base), y_star)`` for every row of the
+        (n, m) bool matrix ``takes``, bit for bit. A point whose ``base``
+        label is ``pos`` is in cluster ``pos`` whatever its row says.
+
+        The joint count of the points outside cluster ``pos`` is built
+        once. A row changes it only where it moves points: they leave their
+        (base cluster, class) cells and join the (``pos``, class) cells.
+        The moves are read in cell order, so each touched cell is one run,
+        and the joint sum of x ln x changes by the touched cells' terms
+        alone. Cluster sizes and cluster ``pos``'s class counts are (n, C)
+        and (n, K) tables.
+        """
+        n, m = takes.shape
+        truth, num_classes, xlogx = self.truth, self.num_classes, self.xlogx
+        stays = base != pos
+        labels = _compact_ids(base, m)
+        num_ids = int(labels.max()) + 1
+        cell = labels * num_classes + truth
+        joint = np.bincount(cell[stays], minlength=num_ids * num_classes)
+        # the points a row can move, in cell order: a row's moves out of one
+        # cell are then one run of its nonzero entries
+        movable = np.flatnonzero(stays)
+        movable = movable[np.argsort(cell[movable])]
+        rows, at = np.divmod(np.flatnonzero(takes[:, movable]), movable.size)
+        moved = movable[at]
+        moved_cell = cell[moved]
+        # the start of each run, and the end of the last
+        edge = np.ones(moved.size + 1, dtype=bool)
+        edge[1:-1] = (rows[1:] != rows[:-1]) | (moved_cell[1:] != moved_cell[:-1])
+        bounds = np.flatnonzero(edge)
+        first = bounds[:-1]
+        before = joint[moved_cell[first]]
+        after = before - (bounds[1:] - first)
+        # per row: the drop in the joint sum, the cluster sizes, and the
+        # class counts of cluster ``pos``
+        drop = np.zeros(n, dtype=np.int64)
+        np.add.at(drop, rows[first], xlogx[before] - xlogx[after])
+        sizes = joint.reshape(num_ids, num_classes).sum(axis=1) - np.bincount(
+            rows * num_ids + labels[moved], minlength=n * num_ids
+        ).reshape(n, num_ids)
+        joins = np.bincount(rows * num_classes + truth[moved], minlength=n * num_classes)
+        joins = joins.reshape(n, num_classes) + np.bincount(truth[~stays], minlength=num_classes)
+        joined = joins.sum(axis=1)
+        return _margins(
+            xlogx[joint].sum() - drop + xlogx[joins].sum(axis=1),
+            xlogx[sizes].sum(axis=1) + xlogx[joined],
+            self.s_classes,
+            np.count_nonzero(joint)
+            - np.bincount(rows[first[after == 0]], minlength=n)
+            + (joins > 0).sum(axis=1),
+            (sizes > 0).sum(axis=1) + (joined > 0),
+            self.nonempty_classes,
+            m,
+        )
 
 
 def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict[int, float]:

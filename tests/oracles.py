@@ -86,9 +86,10 @@ def nmi_oracle(y1: np.ndarray, y2: np.ndarray) -> float:
 
 
 # The scalar NMI as it was before it became a one-row call of the batched
-# computation, with the table helpers it used, kept verbatim: the inference
-# references above call the package's ``margin``, so this is what pins its
-# bits to the per-pair formula's summation order.
+# computation, with the table helpers it used, kept verbatim. It pins the
+# bits of the package's ``nmi`` to the per-pair formula's summation order;
+# ``margin``, which the inference references above call, sums exact
+# integers instead and is held within 1e-12 of 1 minus it.
 
 
 def _contingency_table(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:

@@ -78,6 +78,18 @@ def test_oracle_score_tie_breaks_to_smallest_index():
     assert medoids == (0, 2)
 
 
+def test_oracle_score_keeps_inf_distances_out_of_other_classes():
+    """Point 4 is at inf distance from the rest. Class 0's costs stay
+    finite (a multiply by a 0/1 mask would turn its inf entries into nan),
+    and class 1, whose two members are at inf from each other, ties at inf
+    and takes its smaller index."""
+    dist = pairwise_distances(EmbeddingBatch(np.array([[0.0], [1.0], [1.1], [5.0], [9.0]])))
+    dist = dist.copy()
+    dist[4, :4] = dist[:4, 4] = np.inf
+    assert oracle_score(dist, np.array([0, 0, 0, 1, 1])) == (-np.inf, (1, 3))
+    assert oracle_score(dist[:3, :3], np.array([0, 0, 0])) == (-dist[:3, 1].sum(), (1,))
+
+
 def test_oracle_score_rejects_missing_class():
     dist = random_dist(5, m=4)
     with pytest.raises(InvalidInputError):

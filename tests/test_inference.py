@@ -14,7 +14,7 @@ from clusterembed.inference import (
     label_medoids,
     pam_refine,
 )
-from clusterembed.metrics import margin
+from clusterembed.metrics import SwapMargins, margin
 
 from oracles import greedy_reference, pam_refine_reference
 
@@ -344,7 +344,8 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
         cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
         for gamma in (0.0, 0.5):
             nearest = _nearest_other(dist, medoids, pos)
-            scores = _swap_scores(dist, y, gamma, pos, cands, *nearest)
+            margins = SwapMargins(y) if gamma else None
+            scores = _swap_scores(dist, gamma, margins, pos, cands, *nearest)
             for cand, score in zip(cands, scores):
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
                 want = label_medoids(dist, swapped, y, gamma).objective
@@ -409,6 +410,25 @@ def test_lazy_greedy_equals_full_scoring(instances):
         assert_same_result(greedy_inference(dist, y, 0.0), greedy_reference(dist, y, 0.0), i)
 
 
+@pytest.mark.parametrize(
+    "instances",
+    [tied_grid_instances, infinite_group_instances],
+    ids=["tied-grid", "infinite-groups"],
+)
+def test_margin_scoring_equals_reference_loops_on_ties_and_inf(instances):
+    """At gamma = 1 ``infer`` equals the per-candidate loops under ``==`` on
+    runs of exactly tied candidates and on groups at inf distance, where at
+    greedy's first step the points a candidate does not take stay at its
+    position 0. Three instances of each kind, both pools."""
+    for i, (dist, y) in zip(range(3), instances()):
+        seed = greedy_reference(dist, y, 1.0)
+        for pool in ("cluster", "all"):
+            greedy, refined = infer(dist, y, 1.0, 5, pool)
+            assert_same_result(greedy, seed, i)
+            want = pam_refine_reference(dist, y, seed.medoids, 1.0, 5, pool)
+            assert_same_result(refined, want, (i, pool))
+
+
 def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 score
     every candidate and later steps only those whose bound reaches the best
@@ -420,9 +440,9 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     dist = pairwise_distances(EmbeddingBatch(emb))
     rows = []
 
-    def counted(dist, y_star, gamma, pos, cands, *rest):
+    def counted(dist, gamma, margins, pos, cands, *rest):
         rows.append(len(cands))
-        return _swap_scores(dist, y_star, gamma, pos, cands, *rest)
+        return _swap_scores(dist, gamma, margins, pos, cands, *rest)
 
     monkeypatch.setattr(inference, "_swap_scores", counted)
     greedy_inference(dist, y, 0.0)

@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
-from clusterembed.metrics import (
-    _row_sums,
-    batched_margin,
-    margin,
-    nmi,
-    recall_at_k,
-    same_partition,
-)
+from clusterembed.metrics import SwapMargins, margin, nmi, recall_at_k, same_partition
 
 from oracles import canonical_partition, nmi_oracle, nmi_reference, recall_at_k_oracle
 
@@ -134,45 +127,42 @@ def test_nmi_bounds_and_symmetry(pair):
 
 
 def test_margin_is_one_minus_nmi():
+    """Up to the rounding of ``margin``'s fixed-point sums."""
     y1 = np.array([0, 0, 0, 1])
     y2 = np.array([0, 0, 1, 1])
-    assert margin(y1, y2) == pytest.approx(1.0 - nmi(y1, y2), abs=0)
+    assert margin(y1, y2) == pytest.approx(1.0 - nmi(y1, y2), abs=1e-12)
     assert margin(y2, y2) == 0.0
 
 
-def scalar_margins(labels, y_star):
-    return np.array([margin(row, y_star) for row in labels])
-
-
 def test_batched_margin_matches_scalar_margin():
-    """Random labelings whose ids skip values on both sides, one-cluster
-    rows, and relabelled copies of y_star, which must score exactly 0.0."""
+    """``SwapMargins`` scores each candidate row with the bits ``margin``
+    gives its materialized labels: random and gapped ids on both sides,
+    rows that take nothing, every point or a whole base cluster, a base
+    that already holds ``pos`` in places (greedy's first step, where the
+    points no candidate takes stay at position 0), and one-class
+    ``y_star``. Relabelled copies of ``y_star`` score exactly 0.0."""
     rng = np.random.default_rng(16)
-    for _ in range(300):
+    for trial in range(300):
         m = int(rng.integers(1, 40))
-        n = int(rng.integers(1, 12))
         y_star = rng.integers(0, rng.integers(1, 7), size=m) * int(rng.integers(1, 4))
         y_star += int(rng.integers(0, 5))
-        labels = rng.integers(0, rng.integers(1, 9), size=(n, m)) * 3 + int(rng.integers(0, 4))
-        labels[0] = int(rng.integers(0, 9))
-        copies = rng.integers(0, n, size=2)
-        labels[copies] = rng.permutation(20)[y_star]
-        got = batched_margin(labels, y_star)
-        assert got.shape == (n,)
-        assert got.tolist() == scalar_margins(labels, y_star).tolist()
-        assert np.all(got[copies] == 0.0)
-
-
-def test_row_sums_equal_np_sum_of_each_row():
-    """Rows of 0 to 300 values, which cross ``np.sum``'s 8-wide unrolled
-    loop and its 128-element pairwise blocks, and a trailing empty row.
-    Values spread over 16 decades, so a different addition order shows."""
-    rng = np.random.default_rng(17)
-    lengths = rng.permutation(301)
-    rows = np.repeat(np.arange(301), lengths)
-    values = rng.normal(size=rows.size) * 10.0 ** rng.integers(-8, 9, size=rows.size)
-    got = _row_sums(values, rows, 302)
-    assert got.tolist() == [np.sum(values[rows == r]) for r in range(302)]
+        base = rng.integers(0, rng.integers(1, 9), size=m) * 3 + int(rng.integers(0, 4))
+        pos = int(rng.choice([base[0], rng.integers(0, 30)]))
+        if trial % 4 == 0:
+            base[rng.random(m) < 0.5] = pos
+        takes = rng.random((int(rng.integers(3, 12)), m)) < rng.random()
+        takes[0] = False
+        takes[1] = True
+        takes[2] = base == base[-1]
+        scorer = SwapMargins(y_star)
+        rows = np.where(takes, pos, base)
+        want = [margin(row, y_star) for row in rows]
+        assert scorer(base, pos, takes).tolist() == want, trial
+        assert want == pytest.approx([1.0 - nmi_reference(r, y_star) for r in rows], abs=1e-12)
+        # a copy of y_star under new ids, as is and with one whole class moved to a fresh id
+        copy = rng.permutation(100)[y_star]
+        whole = np.stack([np.zeros(m, dtype=bool), y_star == y_star[-1]])
+        assert scorer(copy, 100, whole).tolist() == [0.0, 0.0]
 
 
 def nmi_case(kind):
@@ -202,33 +192,48 @@ def nmi_case(kind):
 )
 def test_nmi_and_batched_margin_equal_the_scalar_reference(kind):
     """``nmi`` has the bits of the scalar formula it replaced, and is a
-    Python float; every row of ``batched_margin`` is 1 minus that."""
+    Python float. ``margin``, from exact integer sums, lies within 1e-12 of
+    1 minus it, and ``SwapMargins`` gives a row ``margin``'s bits when the
+    cluster of its first point moves in from another row's labels."""
     labels, y_star = nmi_case(kind)
     want = [nmi_reference(row, y_star) for row in labels]
     got = [nmi(row, y_star) for row in labels]
     assert got == want
     assert all(type(v) is float for v in got)
-    assert batched_margin(labels, y_star).tolist() == [1.0 - v for v in want]
+    margins = [margin(row, y_star) for row in labels]
+    assert all(type(v) is float for v in margins)
+    assert margins == pytest.approx([1.0 - v for v in want], abs=1e-12)
     assert nmi(y_star, labels[0]) == nmi_reference(y_star, labels[0])
+    scorer = SwapMargins(y_star)
+    for row, other in zip(labels, np.roll(labels, 1, axis=0)):
+        takes = row == row[0]
+        got = scorer(np.where(takes, other, row), row[0], takes[None])
+        assert got.tolist() == [margin(row, y_star)]
 
 
 def test_batched_margin_edge_shapes():
+    """One-class ``y_star``, one point and no rows; ``margin`` rejects
+    labels that are not two nonempty vectors of one length."""
     one_class = np.array([4, 4, 4, 4])
-    labels = np.array([[0, 0, 0, 0], [1, 1, 2, 2], [7, 7, 7, 7]])
-    got = batched_margin(labels, one_class)
-    assert got.tolist() == scalar_margins(labels, one_class).tolist() == [0.0, 1.0, 0.0]
-    assert batched_margin(np.array([[2, 5, 5]]), np.array([0, 1, 1])).tolist() == [0.0]
-    assert batched_margin(np.array([[2]]), np.array([9])).tolist() == [0.0]
-    empty = batched_margin(np.zeros((0, 3), dtype=int), np.array([0, 1, 1]))
-    assert empty.shape == (0,)
-    for labels, y_star in [
-        (np.zeros((2, 3), dtype=int), np.zeros(4, dtype=int)),
-        (np.zeros(3, dtype=int), np.zeros(3, dtype=int)),
-        (np.zeros((2, 3), dtype=int), np.zeros((1, 3), dtype=int)),
-        (np.zeros((2, 0), dtype=int), np.zeros(0, dtype=int)),
+    base = np.array([1, 1, 2, 2])
+    takes = np.array([[True] * 4, [False] * 4, [True, True, False, False]])
+    got = SwapMargins(one_class)(base, 7, takes)
+    want = [margin(row, one_class) for row in np.where(takes, 7, base)]
+    assert got.tolist() == want == [0.0, 1.0, 1.0]
+    three = np.array([0, 1, 1])
+    assert SwapMargins(three)(np.array([2, 5, 5]), 5, np.zeros((1, 3), bool)).tolist() == [0.0]
+    assert SwapMargins(np.array([9]))(np.array([2]), 3, np.array([[True], [False]])).tolist() == [
+        0.0,
+        0.0,
+    ]
+    assert SwapMargins(three)(three, 1, np.zeros((0, 3), bool)).shape == (0,)
+    for y, y_star in [
+        (np.zeros(3, dtype=int), np.zeros(4, dtype=int)),
+        (np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int)),
+        (np.zeros(0, dtype=int), np.zeros(0, dtype=int)),
     ]:
         with pytest.raises(InvalidInputError):
-            batched_margin(labels, y_star)
+            margin(y, y_star)
 
 
 def test_large_label_ids_match_dense_ids():
@@ -240,10 +245,12 @@ def test_large_label_ids_match_dense_ids():
     big2 = 2**40 + 3 * y2
     assert nmi(big1, big2) == nmi(y1, y2)
     assert nmi(big1, y2) == nmi(y1, y2)
+    assert margin(big1, big2) == margin(y1, y2)
     assert same_partition(big1, y1) and not same_partition(big1, big2)
-    labels = np.stack([y1, y2, y1 // 2])
-    big_labels = np.stack([big1, big2, 2**40 * (y1 // 2)])
-    assert batched_margin(big_labels, big2).tolist() == batched_margin(labels, y2).tolist()
+    takes = np.stack([y1 == 2, y2 == 0, np.zeros(7, dtype=bool), y1 < 2])
+    for pos, big_pos in [(0, -(2**40)), (2, 2**40 + 2), (5, 2**40 + 5)]:
+        want = SwapMargins(y2)(y1, pos, takes).tolist()
+        assert SwapMargins(big2)(big1, big_pos, takes).tolist() == want
 
 
 def test_recall_at_k_separated_clusters():
