@@ -95,17 +95,18 @@ def write_manifest(path: Path, entries: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _command_manifest(args: argparse.Namespace, **results) -> dict:
+    """A command's argparse dests (``func`` aside), the tool version, and
+    ``results``, which override dests of the same name."""
+    entries = {k: v for k, v in vars(args).items() if k != "func"}
+    return {**entries, "tool_version": __version__, **results}
+
+
 def record_to_json(record: TrainRecord) -> str:
-    payload = {
-        "iteration": record.iteration,
-        "loss": record.loss,
-        "gamma": record.gamma,
-        "nmi": record.nmi,
-        "recall_at": None
-        if record.recall_at is None
-        else {str(k): v for k, v in record.recall_at.items()},
-        "elapsed_ms": record.elapsed_ms,
-    }
+    """One metrics-JSONL line: every ``TrainRecord`` field, sorted by name."""
+    payload = asdict(record)
+    if record.recall_at is not None:
+        payload["recall_at"] = {str(k): v for k, v in record.recall_at.items()}
     return json.dumps(payload, sort_keys=True)
 
 
@@ -131,20 +132,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     save_csv(dataset, out)
-    write_manifest(
-        out.with_suffix(out.suffix + ".manifest"),
-        {
-            "command": "generate",
-            "tool_version": __version__,
-            "classes": args.classes,
-            "per_class": args.per_class,
-            "dim": args.dim,
-            "std": args.std,
-            "center_scale": args.center_scale,
-            "seed": args.seed,
-            "out": out,
-        },
-    )
+    write_manifest(out.with_suffix(out.suffix + ".manifest"), _command_manifest(args, out=out))
     print(f"wrote {dataset.num_examples} rows ({args.classes} classes) to {out}")
     return 0
 
@@ -181,7 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "".join(record_to_json(r) + "\n" for r in records), encoding="utf-8"
         )
 
-        if records and records[-1].nmi is not None:
+        if records:  # ``train`` evaluates its last iteration
             final_nmi, final_recalls = records[-1].nmi, records[-1].recall_at
         else:
             split = split_by_class(dataset, config.train_fraction, config.seed)
@@ -218,18 +206,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print_metric_table([("eval", nmi_value, recalls)], args.recall_ks)
     write_manifest(
         Path(args.checkpoint).with_suffix(".eval.manifest"),
-        {
-            "command": "evaluate",
-            "tool_version": __version__,
-            "checkpoint": args.checkpoint,
-            "data": args.data,
-            "split_seed": args.split_seed,
-            "train_fraction": args.train_fraction,
-            "recall_ks": ",".join(str(k) for k in args.recall_ks),
-            "refine_sweeps": args.refine_sweeps,
-            "nmi": repr(nmi_value),
+        _command_manifest(
+            args,
+            recall_ks=",".join(str(k) for k in args.recall_ks),
+            nmi=repr(nmi_value),
             **{f"recall_at_{k}": repr(v) for k, v in recalls.items()},
-        },
+        ),
     )
     return 0
 

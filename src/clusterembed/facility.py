@@ -1,5 +1,6 @@
 """Medoid scoring: facility location objective, nearest-medoid assignment,
-and the per-class oracle score.
+and the per-class oracle score, plus the one class-label check that the
+oracle and every inference routine share.
 
 All functions take a precomputed distance matrix so that inference loops,
 which evaluate the objective many times per batch, never recompute
@@ -30,6 +31,19 @@ def _check_medoids(dist: np.ndarray, medoids: Sequence[int]) -> np.ndarray:
     return s
 
 
+def _check_labels(y_star: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """``y_star`` as an array and its number of classes K. It must hold one
+    class id per point, and the ids must be 0..K-1, each present."""
+    y_star = np.asarray(y_star)
+    ok = m > 0 and y_star.shape == (m,) and np.issubdtype(y_star.dtype, np.integer)
+    # K <= m when every id is present, which bounds the count
+    if not (ok and 0 <= y_star.min() and y_star.max() < m and np.bincount(y_star).all()):
+        raise InvalidInputError(
+            f"need class ids 0..K-1, each present, for {m} points; got {y_star.dtype}{y_star.shape}"
+        )
+    return y_star, int(y_star.max()) + 1
+
+
 def facility_score(dist: np.ndarray, medoids: Sequence[int]) -> float:
     """Negated sum over all points of the distance to the nearest medoid.
 
@@ -54,16 +68,11 @@ def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int
     the rest of its class (ties to the smallest index) and accumulates the
     negated totals. Returns the summed score and the chosen medoid per class
     in class-id order; the medoids are needed again by the gradient.
+    ``y_star`` must hold one integer class id per point, dense 0..K-1 with
+    each id present: ``_check_labels``, the check inference makes, raises
+    ``InvalidInputError`` for anything else.
     """
-    y_star = np.asarray(y_star)
-    if y_star.shape != (len(dist),):
-        raise InvalidInputError(
-            f"need one class id for each of {len(dist)} points, got {y_star.shape}"
-        )
-    num_classes = int(y_star.max()) + 1 if y_star.size else 0
-    missing = np.setdiff1d(np.arange(num_classes), y_star)
-    if missing.size:
-        raise InvalidInputError(f"class {missing[0]} has no members")
+    y_star, num_classes = _check_labels(y_star, len(dist))
     # column sums restricted to each column's class; ``where`` keeps an inf
     # distance inf, where a multiply by 0 would make it nan
     costs = np.where(y_star[:, None] == y_star, dist, 0.0).sum(axis=0)

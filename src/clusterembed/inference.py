@@ -65,7 +65,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError
-from .facility import assign
+from .facility import _check_labels, assign
 from .metrics import SwapMargins, margin
 
 # Exhaustive search refuses instances with more candidate subsets than this.
@@ -97,19 +97,6 @@ class InferenceResult:
     assignment: np.ndarray
     objective: float
     trace: list[float] = field(default_factory=list)
-
-
-def _check_labels(y_star: np.ndarray, m: int) -> tuple[np.ndarray, int]:
-    """``y_star`` as an array and its number of classes K. It must hold one
-    class id per point, and the ids must be 0..K-1, each present."""
-    y_star = np.asarray(y_star)
-    ok = m > 0 and y_star.shape == (m,) and np.issubdtype(y_star.dtype, np.integer)
-    # K <= m when every id is present, which bounds the count
-    if not (ok and 0 <= y_star.min() and y_star.max() < m and np.bincount(y_star).all()):
-        raise InvalidInputError(
-            f"need class ids 0..K-1, each present, for {m} points; got {y_star.dtype}{y_star.shape}"
-        )
-    return y_star, int(y_star.max()) + 1
 
 
 def label_medoids(

@@ -12,17 +12,17 @@ from .embedding_ops import pairwise_distances  # noqa: F401
 from .errors import InvalidInputError
 
 
-def _compact_ids(y: np.ndarray, limit: int) -> np.ndarray:
+def _compact_ids(y: np.ndarray) -> np.ndarray:
     """Integer ids shifted to start at 0, so tables indexed by them need no
-    empty leading rows. Ids spread over more than ``limit`` values are
-    instead relabelled to 0..C-1 in sorted order, which keeps a table built
-    from them small whatever the ids are (a joint count allocates one bin
-    per possible id pair). Either way only empty table rows and columns are
-    dropped, so every count, and every sum over nonzero cells in row-major
-    order, keeps its bits."""
+    empty leading rows. Ids spread over more values than ``y`` has entries
+    are instead relabelled to 0..C-1 in sorted order, which keeps a table
+    built from them small whatever the ids are (a joint count allocates one
+    bin per possible id pair). Either way only empty table rows and columns
+    are dropped, so every count, and every sum over nonzero cells in
+    row-major order, keeps its bits."""
     y = np.asarray(y, dtype=np.intp)
     low = int(y.min())
-    if int(y.max()) - low < limit:
+    if int(y.max()) - low < y.size:
         return y - low
     return np.unique(y, return_inverse=True)[1].reshape(y.shape)
 
@@ -37,8 +37,8 @@ def _contingency(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
     if y1.size == 0:
         raise InvalidInputError("labels must be nonempty")
-    rows = _compact_ids(y1, y1.size)
-    cols = _compact_ids(y2, y2.size)
+    rows = _compact_ids(y1)
+    cols = _compact_ids(y2)
     shape = (int(rows.max()) + 1, int(cols.max()) + 1)
     flat = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1])
     return flat.reshape(shape)
@@ -165,7 +165,7 @@ class SwapMargins:
 
     def __init__(self, y_star: np.ndarray) -> None:
         y_star = np.asarray(y_star)
-        self.truth = _compact_ids(y_star, y_star.size)
+        self.truth = _compact_ids(y_star)
         classes = np.bincount(self.truth)
         self.num_classes = classes.size
         self.nonempty_classes = np.count_nonzero(classes)
@@ -188,7 +188,7 @@ class SwapMargins:
         n, m = takes.shape
         truth, num_classes, xlogx = self.truth, self.num_classes, self.xlogx
         stays = base != pos
-        labels = _compact_ids(base, m)
+        labels = _compact_ids(base)
         num_ids = int(labels.max()) + 1
         cell = labels * num_classes + truth
         joint = np.bincount(cell[stays], minlength=num_ids * num_classes)

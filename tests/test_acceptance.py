@@ -14,10 +14,10 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import clusterembed
 from clusterembed.baselines import lifted_struct_loss, npairs_loss, triplet_semihard_loss
@@ -27,7 +27,6 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.facility import facility_score, oracle_score
 from clusterembed.inference import brute_force_inference, infer, label_medoids
 from clusterembed.metrics import margin, nmi
-from clusterembed.mlp import init_params
 from clusterembed.train import TrainConfig, evaluate_model, train
 
 from oracles import central_diff_grad, nmi_oracle
@@ -44,9 +43,8 @@ def random_instance(rng, m, dim, num_classes):
 
 
 def untrained_init_metrics(config, dataset, test_classes):
-    rng = np.random.default_rng(config.seed)
-    dims = [dataset.input_dim, *config.hidden_dims, config.embedding_dim]
-    init = init_params(dims, config.normalize_embeddings, rng)
+    """Held-out metrics of the network ``train`` initializes for config."""
+    init, _ = train(replace(config, max_iterations=0), dataset)
     return evaluate_model(init, dataset, test_classes, (1,))
 
 

@@ -127,6 +127,27 @@ def test_train_writes_checkpoint_metrics_manifest(tmp_path, data_csv, capsys):
     assert "\ncluster " in out
 
 
+def test_metrics_line_and_manifest_are_written_from_what_they_record(
+    tmp_path, data_csv, monkeypatch
+):
+    """A JSONL line holds the ``TrainRecord`` fields, with the Recall@K keys
+    as strings in string order; a manifest's ``out`` is the normalized path."""
+    ckpt = tmp_path / "model.ckpt"
+    assert main(train_args(data_csv, ckpt, "--iterations", "4", "--recall-ks", "1,2,16")) == 0
+    last = json.loads((tmp_path / "model.ckpt.metrics.jsonl").read_text().splitlines()[-1])
+    del last["elapsed_ms"]
+    assert json.dumps(last) == (
+        '{"gamma": 0.94, "iteration": 3, "loss": 0.0, "nmi": 1.0, '
+        '"recall_at": {"1": 1.0, "16": 1.0, "2": 1.0}}'
+    )
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    args = ["generate", "--classes", "3", "--per-class", "2", "--dim", "2", "--out", "./sub//b.csv"]
+    assert main(args) == 0
+    assert "out=sub/b.csv" in (tmp_path / "sub" / "b.csv.manifest").read_text().splitlines()
+
+
 def test_train_zero_iterations_checkpoint_is_initialization(tmp_path, data_csv):
     ckpt = tmp_path / "model.ckpt"
     assert main(train_args(data_csv, ckpt, "--iterations", "0")) == 0

@@ -90,10 +90,18 @@ def test_oracle_score_keeps_inf_distances_out_of_other_classes():
     assert oracle_score(dist[:3, :3], np.array([0, 0, 0])) == (-dist[:3, 1].sum(), (1,))
 
 
-def test_oracle_score_rejects_missing_class():
+def test_oracle_score_rejects_labels_not_dense_class_ids():
+    """The oracle accepts exactly the labels inference accepts."""
     dist = random_dist(5, m=4)
-    with pytest.raises(InvalidInputError):
-        oracle_score(dist, np.array([0, 0, 2, 2]))  # class 1 empty
+    for y in (
+        [0, 0, 2, 2],  # class 1 empty
+        [-1, -1, 0, 1],  # negative id
+        [0.0, 0.0, 1.0, 1.5],  # float ids
+        [True, True, False, False],  # bool ids
+        [0, 0, 1],  # one id short
+    ):
+        with pytest.raises(InvalidInputError):
+            oracle_score(dist, np.array(y))
 
 
 def test_monotone_and_submodular_exhaustively():

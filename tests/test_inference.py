@@ -4,7 +4,7 @@ import pytest
 from clusterembed import inference
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
-from clusterembed.facility import assign, facility_score
+from clusterembed.facility import assign
 from clusterembed.inference import (
     _nearest_other,
     _swap_scores,
