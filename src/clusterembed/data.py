@@ -167,7 +167,10 @@ def split_by_class(dataset: Dataset, fraction: float, seed: int) -> SplitSpec:
 def batch_class_count(m: int, class_ratio: float) -> int:
     """Number of classes a batch of m examples draws: round(class_ratio * m),
     halves rounded up."""
-    return int(np.floor(class_ratio * m + 0.5))
+    count = class_ratio * m
+    if not np.isfinite(count):
+        raise InvalidInputError(f"class_ratio * m must be finite, got {count}")
+    return int(np.floor(count + 0.5))
 
 
 def sample_batch(

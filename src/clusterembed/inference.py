@@ -29,8 +29,8 @@ the other medoids, an (n, m) mask, and scores the margins with one
 call counts only the points a candidate moves: O(m + C * K + moves +
 n * (C + K)) beyond the mask, with no n * C * K table. Its sums of
 x ln x are exact integers in fixed point, so every candidate's margin
-has the bits of the scalar ``margin`` of its labels, and maxima and ties
-are the scalar ones. Greedy at gamma = 0 on a nonnegative matrix (every
+has the bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``,
+the held-out metric), and maxima and ties are the scalar ones. Greedy at gamma = 0 on a nonnegative matrix (every
 ``pairwise_distances`` matrix) is lazy (Minoux 1978): A is then monotone
 submodular, so a candidate's gain A(S + {i}) - A(S) from the step that
 last scored it bounds its gain now. Steps 0 and 1 score every candidate;

@@ -44,50 +44,6 @@ def _contingency(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _one_to_one(joint: np.ndarray) -> bool:
-    """Whether every nonempty row and column of a joint count holds one
-    nonzero cell: the two labelings then induce the same partition."""
-    cells = np.count_nonzero(joint)
-    return cells == np.count_nonzero(joint.any(axis=1)) == np.count_nonzero(joint.any(axis=0))
-
-
-def _entropy(counts: np.ndarray, m: int) -> float:
-    p = counts[counts > 0] / m
-    return -float(np.sum(p * np.log(p)))
-
-
-def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
-    """True when the two label vectors induce the same partition of indices."""
-    return bool(_one_to_one(_contingency(y1, y2)))
-
-
-def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
-    """Normalized mutual information of two label vectors, in [0, 1].
-
-    MI / sqrt(H1 * H2) with natural logs and pmfs estimated from counts.
-    Permutation invariant. When either assignment has zero entropy the ratio
-    is undefined; by convention the result is 1 when the two partitions are
-    identical and 0 otherwise. Identical partitions short-circuit to exactly
-    1.0 so the identity holds without floating-point slack. Each sum runs
-    with ``np.sum`` over the nonzero cells (or sizes) in row-major order.
-    """
-    joint = _contingency(y1, y2)
-    if _one_to_one(joint):
-        return 1.0
-    m = int(joint.sum())
-    row = joint.sum(axis=1)
-    col = joint.sum(axis=0)
-    h1 = _entropy(row, m)
-    h2 = _entropy(col, m)
-    if h1 == 0.0 or h2 == 0.0:
-        return 0.0
-    i, j = np.nonzero(joint)
-    counts = joint[i, j]
-    # p_ij log(p_ij / (p_i p_j)) with p = count / m throughout
-    mi = np.sum(counts / m * np.log(counts * m / (row[i] * col[j])))
-    return float(np.clip(mi / np.sqrt(h1 * h2), 0.0, 1.0))
-
-
 def _fraction_bits(m: int) -> int:
     """Binary places of ``_xlogx_table(m)``. No sum of x ln x over a
     partition of m points exceeds m ln m, so with these places such sums,
@@ -103,53 +59,77 @@ def _xlogx_table(m: int) -> np.ndarray:
     return np.rint(np.ldexp(x * np.log(np.maximum(x, 1)), _fraction_bits(m))).astype(np.int64)
 
 
-def _margins(
+def _nmis(
     s_joint: np.ndarray, s_sizes: np.ndarray, s_classes: int,
     cells: np.ndarray, clusters: np.ndarray, classes: int, m: int,
 ) -> np.ndarray:
-    """1 - NMI of labelings of m points against one truth, from the
-    fixed-point sums S = sum of x ln x (``_xlogx_table(m)``) over the
-    nonzero joint cells, the cluster sizes and the class sizes, and from
-    the number of nonzero cells, clusters and classes.
+    """NMI of labelings of m points against one truth, from the fixed-point
+    sums S = sum of x ln x (``_xlogx_table(m)``) over the nonzero joint
+    cells, the cluster sizes and the class sizes, and from the number of
+    nonzero cells, clusters and classes.
 
     With p = count / m, MI = ln m + (S_joint - S_sizes - S_classes) / m
-    and H = ln m - S / m. The integer counts, not the float entropies,
-    decide the special cases: a labeling with as many nonzero cells as
-    clusters and classes is the truth's partition (margin 0.0), and one
-    cluster or one class has zero entropy (margin 1.0 otherwise). In fixed
-    point the H of one cluster is near 1e-16, not 0.
+    and H = ln m - S / m, and NMI = MI / sqrt(H1 * H2) clipped to [0, 1].
+    The integer counts, not the float entropies, decide the special cases:
+    a labeling with as many nonzero cells as clusters and classes is the
+    truth's partition (1.0), and otherwise one cluster or one class has
+    zero entropy (0.0). In fixed point the H of one cluster is near 1e-16,
+    not 0.
     """
     scale = m * 2.0 ** _fraction_bits(m)
     log_m = math.log(m)
-    margins = np.ones(len(s_joint))
+    nmis = np.zeros(len(s_joint))
     scored = (clusters > 1) & (classes > 1)
     sizes = s_sizes[scored]
     mi = log_m + (s_joint[scored] - sizes - s_classes) / scale
     h = (log_m - sizes / scale) * (log_m - s_classes / scale)
-    margins[scored] = 1.0 - np.clip(mi / np.sqrt(h), 0.0, 1.0)
-    margins[(cells == clusters) & (cells == classes)] = 0.0
-    return margins
+    nmis[scored] = np.clip(mi / np.sqrt(h), 0.0, 1.0)
+    nmis[(cells == clusters) & (cells == classes)] = 1.0
+    return nmis
 
 
-def margin(y: np.ndarray, y_star: np.ndarray) -> float:
-    """Structured margin 1 - NMI: 0 for a perfect clustering (up to label
-    permutation), 1 for statistically independent assignments.
-
-    Computed from exact integer sums over ``_xlogx_table``, not from
-    ``nmi``'s float terms, so every ``SwapMargins`` row that materializes
-    to ``y`` has its bits, and labelings with equal counts score the same
-    bits whatever their ids. It lies within about 1e-14 of ``1 - nmi``.
-    """
-    joint = _contingency(y, y_star)
+def _pair_nmi_args(y1: np.ndarray, y2: np.ndarray) -> tuple:
+    """``_nmis``' arguments for the single labeling ``y1`` against the
+    truth ``y2``, counted from their joint table."""
+    joint = _contingency(y1, y2)
     m = int(joint.sum())
     xlogx = _xlogx_table(m)
     sizes = joint.sum(axis=1)
     classes = joint.sum(axis=0)
-    return float(_margins(
+    return (
         np.array([xlogx[joint].sum()]), np.array([xlogx[sizes].sum()]), xlogx[classes].sum(),
         np.array([np.count_nonzero(joint)]), np.array([np.count_nonzero(sizes)]),
         np.count_nonzero(classes), m,
-    )[0])
+    )
+
+
+def same_partition(y1: np.ndarray, y2: np.ndarray) -> bool:
+    """True when the two label vectors induce the same partition of indices:
+    as many nonzero joint cells as clusters on either side."""
+    _, _, _, cells, clusters, classes, _ = _pair_nmi_args(y1, y2)
+    return bool(cells[0] == clusters[0] == classes)
+
+
+def nmi(y1: np.ndarray, y2: np.ndarray) -> float:
+    """Normalized mutual information of two label vectors, in [0, 1].
+
+    MI / sqrt(H1 * H2) with natural logs and pmfs estimated from counts,
+    summed exactly in fixed point by ``_nmis``, so the value is permutation
+    invariant and symmetric bit for bit. When either assignment has zero
+    entropy the ratio is undefined; by convention the result is 1 when the
+    two partitions are identical and 0 otherwise. Identical partitions give
+    exactly 1.0.
+    """
+    return float(_nmis(*_pair_nmi_args(y1, y2))[0])
+
+
+def margin(y: np.ndarray, y_star: np.ndarray) -> float:
+    """Structured margin 1 - NMI: 0 for a perfect clustering (up to label
+    permutation), 1 for statistically independent assignments. Exactly
+    ``1.0 - nmi(y, y_star)``, and every ``SwapMargins`` row that
+    materializes to ``y`` has its bits.
+    """
+    return 1.0 - nmi(y, y_star)
 
 
 class SwapMargins:
@@ -216,7 +196,7 @@ class SwapMargins:
         joins = np.bincount(rows * num_classes + truth[moved], minlength=n * num_classes)
         joins = joins.reshape(n, num_classes) + np.bincount(truth[~stays], minlength=num_classes)
         joined = joins.sum(axis=1)
-        return _margins(
+        return 1.0 - _nmis(
             xlogx[joint].sum() - drop + xlogx[joins].sum(axis=1),
             xlogx[sizes].sum(axis=1) + xlogx[joined],
             self.s_classes,

@@ -88,6 +88,8 @@ class TrainConfig:
             raise InvalidInputError("learning rate, lambda, and iteration count are nonnegative")
         if self.classes_per_batch < 2:
             raise InvalidInputError("class_ratio * batch_size must round to at least 2 classes")
+        if self.gamma_decay_rate > 1.0:
+            raise InvalidInputError(f"gamma_decay_rate must be at most 1, got {self.gamma_decay_rate}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidInputError("train_fraction must lie in (0, 1)")
         if self.gamma_decay_interval is not None and self.gamma_decay_interval < 1:

@@ -85,11 +85,11 @@ def nmi_oracle(y1: np.ndarray, y2: np.ndarray) -> float:
     return mi / np.sqrt(h1 * h2)
 
 
-# The scalar NMI as it was before it became a one-row call of the batched
-# computation, with the table helpers it used, kept verbatim. It pins the
-# bits of the package's ``nmi`` to the per-pair formula's summation order;
-# ``margin``, which the inference references above call, sums exact
-# integers instead and is held within 1e-12 of 1 minus it.
+# The scalar NMI as a float formula over the per-pair table, with the table
+# helpers it used, kept verbatim. The package's ``nmi`` and ``margin`` sum
+# exact fixed-point integers instead: ``nmi`` is held within 1e-14 of it,
+# and ``margin``, which the inference references above call, within 1e-12
+# of 1 minus it.
 
 
 def _contingency_table(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:

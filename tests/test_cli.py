@@ -388,10 +388,15 @@ EVALUATE = ["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}"]
         [*GENERATE_TINY, "--std", "1e308", "--out", "{out}"],
         ["train", "--data", "{data}", "--checkpoint", "{out}", "--loss", "npairs",
          "--lr", "1e200", "--batch-size", "20", "--iterations", "3"],
+        ["train", "--data", "{data}", "--checkpoint", "{out}", "--class-ratio", "1e308"],
+        ["inspect", "--checkpoint", "{ckpt}", "--data", "{data}", "--class-ratio", "1e308"],
+        ["train", "--data", "{data}", "--checkpoint", "{out}", "--batch-size", "20",
+         "--iterations", "12", "--gamma-decay-rate", "1e308"],
     ],
     ids=["csv-header", "checkpoint-as-data", "csv-as-checkpoint", "recall-k-300",
          "train-fraction-0.99", "inspect-m-4", "hidden-dims-0", "center-scale-overflow",
-         "std-overflow", "diverging-npairs"],
+         "std-overflow", "diverging-npairs", "train-class-ratio-overflow",
+         "inspect-class-ratio-overflow", "gamma-decay-rate-above-1"],
 )
 def test_bad_input_prints_one_error_line(tmp_path, data_csv, args):
     """Run in a fresh process, as a user would: each bad file or flag exits

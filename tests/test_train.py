@@ -111,6 +111,11 @@ def test_config_validation():
         TrainConfig(train_fraction=1.5)
     with pytest.raises(InvalidInputError):
         TrainConfig(gamma_decay_rate=0.0)
+    with pytest.raises(InvalidInputError, match="at most 1"):
+        TrainConfig(gamma_decay_rate=1.5)
+    assert TrainConfig(gamma_decay_rate=1.0).gamma_decay_rate == 1.0
+    with pytest.raises(InvalidInputError, match="class_ratio \\* m must be finite"):
+        TrainConfig(class_ratio=1e308)
     with pytest.raises(InvalidInputError):
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(InvalidInputError, match="^learning rate, lambda, and iteration count"):
