@@ -17,7 +17,9 @@ inactive at exactly zero.
 
 Each loss works on a (|P|, m) array, one row of the pairwise matrix per
 positive pair, and collects its derivative by that matrix in one m x m
-coefficient matrix, from which one matrix product gives the gradient.
+coefficient matrix; the triplet and lifted losses turn it into the
+gradient with the helpers of ``embedding_ops`` that the clustering loss
+also uses.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from .embedding_ops import (
-    ZERO_NORM_TOL,
     EmbeddingBatch,
+    distance_grad,
+    pair_grad,
     pairwise_distances,
     pairwise_similarities,
     pairwise_squared_distances,
+    row_norms,
 )
-from .errors import DegenerateRowError, InvalidInputError
+from .errors import InvalidInputError
 
 
 def _mine(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -51,13 +55,6 @@ def _mine(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not differ.any():
         raise InvalidInputError("batch has a single class, so no anchor has negatives")
     return anchor, positive, differ
-
-
-def _pair_grad(coeff: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Gradient of (1/2) sum_ab C[a, b] ||E_a - E_b||^2 for the coefficient
-    matrix C = ``coeff``: row a is sum_b (C[a, b] + C[b, a]) (E_a - E_b)."""
-    w = coeff + coeff.T
-    return w.sum(axis=1)[:, None] * emb - w @ emb
 
 
 def triplet_semihard_loss(
@@ -89,7 +86,7 @@ def triplet_semihard_loss(
     coeff = np.zeros_like(d2)
     coeff[anchor[active], positive[active]] = 1.0 / n
     np.add.at(coeff, (anchor[active], k[active]), -1.0 / n)
-    return term[active].sum() / n, 2.0 * _pair_grad(coeff, emb)
+    return term[active].sum() / n, 2.0 * pair_grad(coeff, emb)
 
 
 def lifted_struct_loss(
@@ -105,7 +102,7 @@ def lifted_struct_loss(
     and the loss is (1 / (2|P|)) * sum [J]_+^2 over unsquared distances.
     The log-sum-exp is max-shifted for stability; the analytic gradient
     chains through the softmax weights of the negative terms. Coincident
-    points (D <= ZERO_NORM_TOL) pass no gradient between them.
+    points pass no gradient between them (``distance_grad``).
     """
     emb = batch.data
     m = emb.shape[0]
@@ -128,8 +125,7 @@ def lifted_struct_loss(
     np.add.at(coeff, anchor, -weights[:, :m])
     np.add.at(coeff, positive, -weights[:, m:])
     coeff[anchor, positive] += scale
-    per_dist = np.divide(coeff, dist, out=np.zeros_like(coeff), where=dist > ZERO_NORM_TOL)
-    return (hinge * hinge).sum() / (2.0 * n), _pair_grad(per_dist, emb)
+    return (hinge * hinge).sum() / (2.0 * n), distance_grad(coeff, dist, emb)
 
 
 def npairs_loss(
@@ -166,10 +162,7 @@ def npairs_loss(
     grad = (coeff + coeff.T) @ emb
 
     if reg_lambda != 0.0:
-        norms = np.linalg.norm(emb, axis=1)
-        if np.any(norms <= ZERO_NORM_TOL):
-            bad = int(np.argmax(norms <= ZERO_NORM_TOL))
-            raise DegenerateRowError(f"row {bad} has zero norm; norm penalty gradient undefined")
+        norms = row_norms(emb, "differentiate the norm penalty")
         total += reg_lambda / m * norms.sum()
         grad += reg_lambda / m * (emb / norms[:, None])
     return float(total), grad

@@ -13,7 +13,10 @@ when the approximate maximizer scores below the oracle.
 
 The subgradient treats the margin term as locally constant (it only
 changes when an assignment flips, a measure-zero event) and differentiates
-the two facility scores through the embedding distances.
+the two facility scores through the distance matrix inference used: each
+point carries coefficient -1 on its distance to its violator medoid and +1
+on its distance to its oracle medoid, and ``embedding_ops.distance_grad``
+turns that coefficient matrix into the gradient, as for the baselines.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_ops import ZERO_NORM_TOL, EmbeddingBatch, pairwise_distances
+from .embedding_ops import EmbeddingBatch, distance_grad, pairwise_distances
 from .facility import oracle_score
 from .inference import CandidatePool, InferenceResult, infer
 # unused; perfbench/tests/test_perfbench.py expects the tracer to patch it here
@@ -46,25 +49,6 @@ class LossOutput:
     oracle_medoids: tuple[int, ...]
 
 
-def facility_subgradient(embeddings: np.ndarray, attachment: np.ndarray) -> np.ndarray:
-    """Subgradient of sum_i -||E_i - E_{a(i)}|| w.r.t. E.
-
-    ``attachment`` maps each point to the index of the point serving it.
-    Each pair contributes the unit direction u = (E_i - E_{a(i)}) / ||.||,
-    -u to row i and +u to row a(i); pairs at (numerically) zero distance
-    contribute nothing, the canonical subgradient choice at the kink.
-    """
-    m = embeddings.shape[0]
-    diffs = embeddings - embeddings[attachment]
-    norms = np.linalg.norm(diffs, axis=1)
-    served = norms > ZERO_NORM_TOL
-    units = np.zeros_like(diffs)
-    units[served] = diffs[served] / norms[served, None]
-    grad = -units
-    np.add.at(grad, attachment, units)
-    return grad
-
-
 def clustering_loss(
     batch: EmbeddingBatch,
     y_star: np.ndarray,
@@ -80,7 +64,6 @@ def clustering_loss(
     hinge (argument <= 0) returns a zero subgradient.
     """
     y_star = np.asarray(y_star)
-    emb = batch.data
     dist = pairwise_distances(batch)
 
     oracle_value, oracle_medoids = oracle_score(dist, y_star)
@@ -90,11 +73,13 @@ def clustering_loss(
     value = max(0.0, hinge_arg)
 
     if hinge_arg > 0.0:
-        violator_attach = np.asarray(refined.medoids)[refined.assignment]
-        oracle_attach = np.asarray(oracle_medoids)[y_star]
-        grad = facility_subgradient(emb, violator_attach) - facility_subgradient(emb, oracle_attach)
+        points = np.arange(batch.m)
+        coeff = np.zeros_like(dist)
+        coeff[points, np.asarray(refined.medoids)[refined.assignment]] = -1.0
+        coeff[points, np.asarray(oracle_medoids)[y_star]] += 1.0
+        grad = distance_grad(coeff, dist, batch.data)
     else:
-        grad = np.zeros_like(emb)
+        grad = np.zeros_like(batch.data)
 
     return LossOutput(
         value=value,

@@ -92,12 +92,10 @@ def generate_gaussian(
         raise InvalidInputError("scales must be nonnegative, and the std and center range finite")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_scale, center_scale, size=(num_classes, input_dim))
-    blocks = [
-        centers[c] + rng.normal(0.0, cluster_std, size=(points_per_class, input_dim))
-        for c in range(num_classes)
-    ]
-    features = np.concatenate(blocks, axis=0)
     labels = np.repeat(np.arange(num_classes), points_per_class)
+    features = centers[labels] + rng.normal(
+        0.0, cluster_std, size=(num_classes * points_per_class, input_dim)
+    )
     return Dataset(features=features, labels=labels)
 
 

@@ -1,5 +1,10 @@
 """Dense matrix primitives shared by every loss and inference routine.
 
+Besides the pairwise matrices, this module turns a loss's m x m
+coefficient matrix over them into the embedding gradient, and owns the
+zero-norm rule: which rows cannot be normalized and which pairs are
+coincident.
+
 All functions are pure and operate on float64 arrays. Reductions rely on
 numpy's deterministic pairwise summation, so identical inputs give bit
 identical outputs regardless of thread settings.
@@ -94,16 +99,35 @@ def pairwise_similarities(batch: EmbeddingBatch) -> np.ndarray:
     return e @ e.T
 
 
-def l2_normalize_rows(batch: EmbeddingBatch) -> EmbeddingBatch:
-    """Scale every row to unit Euclidean norm.
+def pair_grad(coeff: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Gradient of (1/2) sum_ab C[a, b] ||E_a - E_b||^2 for the coefficient
+    matrix C = ``coeff``: row a is sum_b (C[a, b] + C[b, a]) (E_a - E_b)."""
+    w = coeff + coeff.T
+    return w.sum(axis=1)[:, None] * emb - w @ emb
 
-    Raises DegenerateRowError if any row norm is <= 1e-12 rather than
-    silently emitting NaN; callers are expected to avoid zero rows.
-    """
-    norms = np.linalg.norm(batch.data, axis=1)
+
+def distance_grad(coeff: np.ndarray, dist: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Gradient of sum_ab C[a, b] D[a, b] over the unsquared distances
+    ``dist`` of ``emb``. Coincident pairs (D <= ZERO_NORM_TOL) pass no
+    gradient, the canonical subgradient at the kink of the norm."""
+    per_dist = np.divide(coeff, dist, out=np.zeros_like(coeff), where=dist > ZERO_NORM_TOL)
+    return pair_grad(per_dist, emb)
+
+
+def row_norms(rows: np.ndarray, action: str) -> np.ndarray:
+    """Euclidean norm of every row. Raises DegenerateRowError, naming the
+    first row with norm <= ZERO_NORM_TOL and the ``action`` that would
+    divide by it, rather than silently emitting NaN."""
+    norms = np.linalg.norm(rows, axis=1)
     if np.any(norms <= ZERO_NORM_TOL):
         bad = int(np.argmax(norms <= ZERO_NORM_TOL))
-        raise DegenerateRowError(f"row {bad} has norm {norms[bad]:.3e}, cannot normalize")
+        raise DegenerateRowError(f"row {bad} has norm {norms[bad]:.3e}, cannot {action}")
+    return norms
+
+
+def l2_normalize_rows(batch: EmbeddingBatch) -> EmbeddingBatch:
+    """Scale every row to unit Euclidean norm; zero rows raise."""
+    norms = row_norms(batch.data, "normalize")
     return EmbeddingBatch(batch.data / norms[:, None], normalized=True)
 
 
@@ -114,10 +138,7 @@ def l2_normalize_rows_backward(x_rows: np.ndarray, upstream_rows: np.ndarray) ->
     radial component of the upstream row is annihilated and the tangent part
     is scaled by 1 / ||x||.
     """
-    norms = np.linalg.norm(x_rows, axis=1)
-    if np.any(norms <= ZERO_NORM_TOL):
-        bad = int(np.argmax(norms <= ZERO_NORM_TOL))
-        raise DegenerateRowError(f"row {bad} has norm {norms[bad]:.3e}, cannot differentiate")
+    norms = row_norms(x_rows, "differentiate")
     u = x_rows / norms[:, None]
     radial = np.einsum("ij,ij->i", u, upstream_rows)
     return (upstream_rows - u * radial[:, None]) / norms[:, None]

@@ -24,14 +24,10 @@ class RmsState:
     """Running mean of squared gradients, mirroring the parameter shapes."""
 
     mean_square: list[tuple[np.ndarray, np.ndarray]]
-    step: int = 0
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "RmsState":
-        return cls(
-            mean_square=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers],
-            step=0,
-        )
+        return cls(mean_square=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers])
 
 
 def rmsprop_step(
@@ -55,7 +51,7 @@ def rmsprop_step(
         new_ms.append((mw2, mb2))
     return (
         MlpParams(layers=new_layers, final_normalize=params.final_normalize),
-        RmsState(mean_square=new_ms, step=state.step + 1),
+        RmsState(mean_square=new_ms),
     )
 
 

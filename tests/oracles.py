@@ -488,6 +488,25 @@ def npairs_loss_reference(
     return float(total), grad
 
 
+def facility_subgradient_reference(embeddings: np.ndarray, attachment: np.ndarray) -> np.ndarray:
+    """Per-pair subgradient of sum_i -||E_i - E_{a(i)}|| w.r.t. E.
+
+    ``attachment`` maps each point to the index of the point serving it.
+    Each pair contributes the unit direction u = (E_i - E_{a(i)}) / ||.||,
+    -u to row i and +u to row a(i); pairs at (numerically) zero distance
+    contribute nothing. The clustering loss's gradient is this for the
+    violator's attachment minus this for the oracle's.
+    """
+    diffs = embeddings - embeddings[attachment]
+    norms = np.linalg.norm(diffs, axis=1)
+    served = norms > ZERO_NORM_TOL
+    units = np.zeros_like(diffs)
+    units[served] = diffs[served] / norms[served, None]
+    grad = -units
+    np.add.at(grad, attachment, units)
+    return grad
+
+
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function, coordinatewise."""
     grad = np.zeros_like(x, dtype=np.float64)

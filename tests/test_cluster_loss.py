@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from clusterembed.cluster_loss import clustering_loss, facility_subgradient
-from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
+from clusterembed.cluster_loss import clustering_loss
+from clusterembed.embedding_ops import EmbeddingBatch, distance_grad, pairwise_distances
 from clusterembed.errors import InvalidInputError
 from clusterembed.facility import oracle_score
 from clusterembed.inference import brute_force_inference
 from clusterembed.metrics import margin
 
-from oracles import central_diff_grad, rel_err
+from oracles import central_diff_grad, facility_subgradient_reference, rel_err
 
 
 def random_labeled(rng, m=8, num_classes=3, d=3, spread=1.0):
@@ -16,6 +16,14 @@ def random_labeled(rng, m=8, num_classes=3, d=3, spread=1.0):
     y[:num_classes] = np.arange(num_classes)
     emb = rng.normal(size=(m, d)) * spread
     return emb, y
+
+
+def facility_subgradient(emb, attachment):
+    """distance_grad for the score sum_i -||E_i - E_{a(i)}||."""
+    m = emb.shape[0]
+    coeff = np.zeros((m, m))
+    coeff[np.arange(m), attachment] = -1.0
+    return distance_grad(coeff, pairwise_distances(EmbeddingBatch(emb)), emb)
 
 
 def separated_instance():
@@ -147,3 +155,46 @@ def test_loss_rejects_labels_that_are_not_dense_class_ids():
         for gamma in (0.0, 1.0):
             with pytest.raises(InvalidInputError):
                 clustering_loss(batch, bad, gamma)
+
+
+def _reference_batches():
+    """Random batches, a third of them integer-rounded (coincident points,
+    zero distances) and a third with unit rows, then paper-shaped ones:
+    m = 128 in 32 classes of 4 at d = 16, raw and unit rows."""
+    rng = np.random.default_rng(37)
+    for trial in range(60):
+        m = int(rng.integers(4, 25))
+        emb, y = random_labeled(
+            rng, m=m, num_classes=int(rng.integers(2, min(m, 6) + 1)),
+            d=int(rng.integers(1, 9)), spread=rng.uniform(0.2, 3.0),
+        )
+        if trial % 3 == 0:
+            emb = np.round(emb)
+        elif trial % 3 == 1:
+            emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        yield emb, y
+    paper_y = np.repeat(np.arange(32), 4)
+    raw = rng.normal(size=(128, 16))
+    yield raw, paper_y
+    yield raw / np.linalg.norm(raw, axis=1, keepdims=True), paper_y
+
+
+def test_loss_gradient_matches_per_pair_reference_within_1e_12():
+    # the coefficient-matrix gradient sums in another order than the
+    # per-pair units, so entries agree to rounding, not bit for bit
+    active = 0
+    for emb, y in _reference_batches():
+        for gamma in (0.0, 1.0):
+            for pool in ("cluster", "all"):
+                out = clustering_loss(EmbeddingBatch(emb), y, gamma, candidate_pool=pool)
+                if out.hinge_arg <= 0.0:
+                    assert np.all(out.grad == 0.0)
+                    continue
+                active += 1
+                violator_attach = np.asarray(out.violator.medoids)[out.violator.assignment]
+                oracle_attach = np.asarray(out.oracle_medoids)[y]
+                ref = facility_subgradient_reference(emb, violator_attach)
+                ref -= facility_subgradient_reference(emb, oracle_attach)
+                err = np.abs(out.grad - ref)
+                assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref))), err.max()
+    assert active >= 220, active  # 236 of the 248 hinges are active

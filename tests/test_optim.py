@@ -21,15 +21,12 @@ def test_rmsprop_frozen_scalar_step():
     assert new_state.mean_square[0][1][0] == ms_b
     assert new_params.layers[0][0][0, 0] == -0.1 * 1.0 / np.sqrt(ms_w)
     assert new_params.layers[0][1][0] == -0.1 * 2.0 / np.sqrt(ms_b)
-    assert new_state.step == 1
 
 
 def test_rmsprop_zero_gradient_decays_state_only():
     rng = np.random.default_rng(60)
     params = init_params([2, 3], False, rng)
-    state = RmsState(
-        mean_square=[(np.full((3, 2), 4.0), np.full(3, 9.0))], step=5
-    )
+    state = RmsState(mean_square=[(np.full((3, 2), 4.0), np.full(3, 9.0))])
     zero = [(np.zeros((3, 2)), np.zeros(3))]
     new_params, new_state = rmsprop_step(params, zero, state, lr=0.5, rho=0.9, eps=1e-8)
     for (w0, b0), (w1, b1) in zip(params.layers, new_params.layers):
