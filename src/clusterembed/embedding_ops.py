@@ -21,9 +21,6 @@ from .errors import DegenerateRowError, InvalidInputError
 # Row norms at or below this are treated as degenerate (cannot be normalized).
 ZERO_NORM_TOL = 1e-12
 
-# Allowed deviation from unit norm for a batch claiming to be normalized.
-UNIT_NORM_TOL = 1e-6
-
 # Rows per block of the distance matrix: the difference buffer holds
 # DISTANCE_BLOCK_ROWS x m x d floats (10 MB at m = 1,280, d = 16).
 DISTANCE_BLOCK_ROWS = 64
@@ -31,14 +28,9 @@ DISTANCE_BLOCK_ROWS = 64
 
 @dataclass
 class EmbeddingBatch:
-    """m x d matrix of embedded points, one row per example.
-
-    ``normalized`` records whether rows are unit length; constructors check
-    the claim so downstream code can trust the flag.
-    """
+    """m x d matrix of embedded points, one row per example."""
 
     data: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -46,10 +38,6 @@ class EmbeddingBatch:
             raise InvalidInputError(f"embedding batch must be 2-D, got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise InvalidInputError("embedding batch contains non-finite entries")
-        if self.normalized:
-            norms = np.linalg.norm(self.data, axis=1)
-            if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
-                raise InvalidInputError("normalized flag set but some row norm is not 1")
 
     @property
     def m(self) -> int:
@@ -128,7 +116,7 @@ def row_norms(rows: np.ndarray, action: str) -> np.ndarray:
 def l2_normalize_rows(batch: EmbeddingBatch) -> EmbeddingBatch:
     """Scale every row to unit Euclidean norm; zero rows raise."""
     norms = row_norms(batch.data, "normalize")
-    return EmbeddingBatch(batch.data / norms[:, None], normalized=True)
+    return EmbeddingBatch(batch.data / norms[:, None])
 
 
 def l2_normalize_rows_backward(x_rows: np.ndarray, upstream_rows: np.ndarray) -> np.ndarray:

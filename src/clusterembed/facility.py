@@ -2,10 +2,12 @@
 and the per-class oracle score, plus the one class-label check that the
 oracle and every inference routine share.
 
-All functions take a precomputed distance matrix so that inference loops,
-which evaluate the objective many times per batch, never recompute
-distances. Medoid sets are ordered index sequences; assignment labels are
-positions within that sequence.
+All functions take a precomputed square distance matrix so that inference
+loops, which evaluate the objective many times per batch, never recompute
+distances. ``dist[s, i]`` is the cost of serving point i from medoid s:
+every function here and in ``inference`` reads that orientation, so the
+matrix need not be symmetric. Medoid sets are ordered index sequences;
+assignment labels are positions within that sequence.
 """
 
 from __future__ import annotations
@@ -45,37 +47,43 @@ def _check_labels(y_star: np.ndarray, m: int) -> tuple[np.ndarray, int]:
 
 
 def facility_score(dist: np.ndarray, medoids: Sequence[int]) -> float:
-    """Negated sum over all points of the distance to the nearest medoid.
+    """Negated sum over all points of the cost ``dist[s, i]`` of serving
+    point i from its nearest medoid s.
 
-    Always <= 0; equals 0 only when every point coincides with some medoid.
+    On a distance matrix this is <= 0, and 0 only when every point
+    coincides with some medoid.
     """
     s = _check_medoids(dist, medoids)
-    return -float(np.sum(np.min(dist[:, s], axis=1)))
+    return -float(np.sum(np.min(dist[s], axis=0)))
 
 
 def assign(dist: np.ndarray, medoids: Sequence[int]) -> np.ndarray:
-    """Label each point with the position (within ``medoids``) of its nearest
-    medoid. Ties go to the smallest position, so the result is deterministic.
+    """Label each point i with the position (within ``medoids``) of the
+    medoid s of least ``dist[s, i]``. Ties go to the smallest position, so
+    the result is deterministic.
     """
     s = _check_medoids(dist, medoids)
-    return np.argmin(dist[:, s], axis=1)
+    return np.argmin(dist[s], axis=0)
 
 
 def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Best achievable per-class medoid score under the ground-truth partition.
 
-    For each class, picks the member that minimizes the summed distance to
-    the rest of its class (ties to the smallest index) and accumulates the
-    negated totals. Returns the summed score and the chosen medoid per class
-    in class-id order; the medoids are needed again by the gradient.
+    For each class, picks the member j that minimizes the summed cost
+    ``dist[j, i]`` of serving its class (ties to the smallest
+    index) and accumulates the negated totals. Returns the summed score and
+    the chosen medoid per class in class-id order; the medoids are needed
+    again by the gradient.
     ``y_star`` must hold one integer class id per point, dense 0..K-1 with
     each id present: ``_check_labels``, the check inference makes, raises
     ``InvalidInputError`` for anything else.
     """
     y_star, num_classes = _check_labels(y_star, len(dist))
-    # column sums restricted to each column's class; ``where`` keeps an inf
-    # distance inf, where a multiply by 0 would make it nan
-    costs = np.where(y_star[:, None] == y_star, dist, 0.0).sum(axis=0)
+    # each row's sum over its own class, taken down the columns of the
+    # transpose: axis 0 adds point by point, where axis 1 would add pairwise.
+    # ``where`` keeps an inf distance inf, where a multiply by 0 would make
+    # it nan
+    costs = np.where(y_star[:, None] == y_star, dist.T, 0.0).sum(axis=0)
     # per class, the member of least cost, ties to the smallest index
     order = np.lexsort((costs, y_star))
     medoids = order[np.searchsorted(y_star[order], np.arange(num_classes))]

@@ -11,10 +11,10 @@ best-marginal-benefit selection and ``pam_refine`` improves it with
 medoid/member exchanges; ``infer`` runs one after the other.
 ``brute_force_inference`` exhaustively solves small instances for tests.
 
-The distance matrix must be exactly symmetric, as ``pairwise_distances``
-makes it: candidates are read as contiguous rows ``D[cands]``, which
-stand for the columns the objective sums over. ``greedy_inference`` and
-``pam_refine`` reject a matrix that is not.
+The distance matrix is read in one orientation, as in ``facility``:
+``D[s, i]`` is the cost of serving point i from medoid s, so a candidate
+is scored from its contiguous row ``D[cands]``. Nothing here needs the
+matrix to be symmetric, only square.
 
 Costs (m points, C medoids, K classes): every greedy step and every medoid
 position of a refinement sweep scores n <= m candidates, reading their
@@ -71,10 +71,6 @@ from .metrics import SwapMargins, margin
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_CAP = 10**6
 
-# Side of the square tiles in which the symmetry check compares a matrix
-# with its transpose.
-SYMMETRY_TILE = 256
-
 # Lazy greedy (gamma = 0) scores candidate rows in blocks of this size,
 # and scores on while a bound is within this share of |A| of the best.
 LAZY_BLOCK_ROWS = 64
@@ -104,11 +100,12 @@ def label_medoids(
 ) -> InferenceResult:
     """Label a medoid set with one ``assign`` call and score its A(S).
 
-    Each point's distance to its medoid is the value ``facility_score``
-    takes as the row minimum, summed by the same ``np.sum``.
+    Each point's cost ``dist[s, i]`` from its medoid s is the value
+    ``facility_score`` takes as the column minimum, summed by the same
+    ``np.sum``.
     """
     labels = assign(dist, medoids)
-    served = dist[np.arange(len(dist)), np.asarray(medoids)[labels]]
+    served = dist[np.asarray(medoids)[labels], np.arange(len(dist))]
     score = -float(np.sum(served))
     if gamma != 0.0:
         score += gamma * margin(labels, y_star)
@@ -118,25 +115,18 @@ def label_medoids(
 
 
 def _check_dist(dist: np.ndarray) -> None:
-    """Reject a distance matrix that is not square and exactly symmetric."""
+    """Reject a distance matrix that is not square."""
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise InvalidInputError(f"distance matrix must be square, got shape {dist.shape}")
-    # tile by tile: a transposed tile stays in cache, a transposed matrix does not
-    m = dist.shape[0]
-    for lo in range(0, m, SYMMETRY_TILE):
-        rows = slice(lo, lo + SYMMETRY_TILE)
-        for hi in range(lo, m, SYMMETRY_TILE):
-            cols = slice(hi, hi + SYMMETRY_TILE)
-            if not np.array_equal(dist[rows, cols], dist[cols, rows].T):
-                raise InvalidInputError("distance matrix must be exactly symmetric")
 
 
 def _nearest_other(
     dist: np.ndarray, medoids: list[int], pos: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's distance to its nearest medoid other than the one at
-    position ``pos``, and that medoid's position in ``medoids`` (ties to the
-    smallest position). With no other medoid the distance is inf."""
+    """Each point's cost from its nearest medoid other than the one at
+    position ``pos``, read from the other medoids' rows, and that medoid's
+    position in ``medoids`` (ties to the smallest position). With no other
+    medoid the cost is inf."""
     others = medoids[:pos] + medoids[pos + 1 :]
     if not others:
         return np.full(len(dist), np.inf), np.zeros(len(dist), np.intp)
@@ -167,7 +157,7 @@ def _swap_scores(
     """
     if facility is not None and gamma == 0.0:
         return facility
-    # row j of a symmetric matrix is column j, and summed in the same order
+    # row c holds the cost of serving each point from candidate c
     cand_dist = dist[cands]
     if gamma != 0.0:
         # a candidate takes a point when strictly closer than the other
@@ -281,13 +271,18 @@ def pam_refine(
     its medoid. Ties go to the smallest candidate index. Sweeps stop early
     once one of them changes nothing.
 
-    The trace holds A(S) after each completed sweep and never decreases.
-    For the whole-batch variant each installed swap maximizes A with
+    The trace holds A(S) after each completed sweep. For the whole-batch
+    variant it never decreases: each installed swap maximizes A with
     keeping the current medoid among the candidates. For the within-cluster
     variant the frozen-assignment surrogate lower-bounds the true facility
     score, the bound is tight when j is the incumbent medoid, and the
     margin term is evaluated exactly, so each swap can only raise A as
-    well.
+    well, provided the incumbent is a candidate: a member of its own
+    cluster, or the cluster is empty. Every ``pairwise_distances`` matrix
+    meets this, since a point is at distance 0 from itself and a medoid
+    that coincides with an earlier one has an empty cluster. Where another
+    medoid serves a medoid more cheaply than it serves itself, as a
+    positive diagonal entry allows, the trace can fall.
     """
     _check_dist(dist)
     m = dist.shape[0]
@@ -315,7 +310,7 @@ def pam_refine(
                 continue
             surrogate = other_min = other_pos = None
             if candidate_pool == "cluster":
-                surrogate = -dist[np.ix_(members, cands)].sum(axis=0)
+                surrogate = -dist.T[np.ix_(members, cands)].sum(axis=0)
             if surrogate is None or gamma != 0.0:  # else the surrogate is the score
                 other_min, other_pos = _nearest_other(dist, medoids, k)
             scores = _swap_scores(dist, gamma, margins, k, cands, other_min, other_pos, surrogate)

@@ -175,7 +175,8 @@ def recall_at_k_oracle(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
 def greedy_reference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
     """Greedy inference as first written: running nearest-medoid state and
     one margin call per candidate. Kept as the regression reference for the
-    batched candidate scoring."""
+    batched candidate scoring. It reads medoid columns ``dist[:, j]``, so it
+    matches the package on symmetric matrices only."""
     m = dist.shape[0]
     num_classes = int(np.max(y_star)) + 1
     chosen: list[int] = []
@@ -214,7 +215,9 @@ def pam_refine_reference(
     candidate_pool: str,
 ) -> InferenceResult:
     """Swap refinement as first written: one full ``assign`` per candidate
-    swap. Kept as the regression reference for the batched candidate scoring."""
+    swap. Kept as the regression reference for the batched candidate scoring.
+    It reads medoid columns ``dist[:, j]``, so it matches the package on
+    symmetric matrices only."""
     m = dist.shape[0]
     num_classes = int(np.max(y_star)) + 1
     medoids = [int(i) for i in initial_medoids]

@@ -219,18 +219,16 @@ def _reference_batches():
         y = rng.integers(0, num_classes, size=m)
         y[:3] = [0, 0, 1]  # at least one pair and two classes
         emb = rng.normal(size=(m, int(rng.integers(1, 17)))) * rng.uniform(0.2, 3.0)
-        normalized = False
         if trial % 5 == 0:
             emb = np.round(emb)  # coincident points, zero distances
         elif trial % 3 == 0:
             emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-            normalized = True
-        yield EmbeddingBatch(emb, normalized=normalized), y, rng
+        yield EmbeddingBatch(emb), y, rng
     paper_y = np.repeat(np.arange(32), 4)
     raw = rng.normal(size=(128, 16))
     yield EmbeddingBatch(raw), paper_y, rng
     unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    yield EmbeddingBatch(unit, normalized=True), paper_y, rng
+    yield EmbeddingBatch(unit), paper_y, rng
     uneven_y = np.repeat(np.arange(8), [2, 3, 5, 8, 13, 21, 34, 42])
     yield EmbeddingBatch(rng.normal(size=(128, 16))), uneven_y, rng
 

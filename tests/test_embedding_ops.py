@@ -32,9 +32,6 @@ def test_batch_coerces_and_validates():
         EmbeddingBatch(np.zeros(3))
     with pytest.raises(InvalidInputError):
         EmbeddingBatch(np.array([[np.nan, 0.0]]))
-    with pytest.raises(InvalidInputError):
-        EmbeddingBatch(np.array([[2.0, 0.0]]), normalized=True)
-    EmbeddingBatch(np.array([[1.0, 0.0]]), normalized=True)
 
 
 def test_distances_match_double_loop_oracle():
@@ -97,7 +94,6 @@ def test_normalize_rows():
     rng = np.random.default_rng(11)
     emb = rng.normal(size=(6, 4)) * 3
     out = l2_normalize_rows(EmbeddingBatch(emb))
-    assert out.normalized
     norms = np.linalg.norm(out.data, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
     # direction preserved: positive multiple of the input row

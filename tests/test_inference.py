@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from clusterembed import inference
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
-from clusterembed.facility import assign
+from clusterembed.facility import assign, facility_score, oracle_score
 from clusterembed.inference import (
     _nearest_other,
     _swap_scores,
@@ -16,7 +18,7 @@ from clusterembed.inference import (
 )
 from clusterembed.metrics import SwapMargins, margin
 
-from oracles import greedy_reference, pam_refine_reference
+from oracles import facility_oracle, greedy_reference, oracle_score_oracle, pam_refine_reference
 
 
 def line_instance():
@@ -209,12 +211,6 @@ def test_pam_validation():
         pam_refine(dist, y, seed, 0.0, 0)  # no sweeps
     with pytest.raises(InvalidInputError):
         pam_refine(dist, y, seed, 0.0, 5, "everything")
-    asymmetric = dist.copy()
-    asymmetric[0, 1] = np.nextafter(asymmetric[0, 1], np.inf)
-    with pytest.raises(InvalidInputError, match="symmetric"):
-        pam_refine(asymmetric, y, seed, 0.0, 5)
-    with pytest.raises(InvalidInputError, match="symmetric"):
-        greedy_inference(asymmetric, y, 0.0)
     with pytest.raises(InvalidInputError, match="square"):
         greedy_inference(dist[:, :3], y, 0.0)
 
@@ -350,6 +346,68 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
                 want = label_medoids(dist, swapped, y, gamma).objective
                 assert score == pytest.approx(want, abs=1e-12), (i, pos, cand)
+
+
+ASYMMETRIC_KINDS = ["nonnegative", "rounded", "negative", "inf-block"]
+
+
+def asymmetric_instance(rng, kind):
+    """A square matrix with no symmetry, and dense labels. In ``inf-block``
+    no point of group 0 can serve a point of group 1, while every point of
+    group 1 serves every point at a finite cost."""
+    m = int(rng.integers(6, 20))
+    if kind == "rounded":
+        dist = rng.integers(0, 4, size=(m, m)) * 1.0  # many exact ties
+    else:
+        dist = rng.uniform(0.0, 3.0, size=(m, m))
+    if kind == "negative":
+        dist.flat[rng.choice(m * m, size=3, replace=False)] *= -1.0
+    if kind == "inf-block":
+        group = rng.integers(0, 2, size=m)
+        dist[(group[:, None] == 0) & (group[None, :] == 1)] = np.inf
+    num_classes = int(rng.integers(2, 6))
+    y = rng.permutation(np.arange(m) % num_classes)
+    return dist, y
+
+
+@pytest.mark.parametrize("kind", ASYMMETRIC_KINDS)
+def test_asymmetric_matrix_is_read_as_medoid_rows(kind):
+    """``dist[s, i]`` is the cost of serving point i from medoid s in every
+    routine, so no symmetry is needed. The scores ``infer`` carries are the
+    ones ``label_medoids`` and ``assign`` give its medoids, bit for bit; a
+    whole-batch refinement that stops is a single-swap local optimum; and
+    the facility and oracle scores equal the loop oracles, which read
+    ``dist[point, medoid]``, on the transpose."""
+    rng = np.random.default_rng(ASYMMETRIC_KINDS.index(kind))
+    sweeps, stopped = 8, 0
+    for i in range(100):
+        dist, y = asymmetric_instance(rng, kind)
+        assert not np.array_equal(dist, dist.T), i
+        for gamma in (0.0, 1.0):
+            for pool in ("cluster", "all"):
+                greedy, refined = infer(dist, y, gamma, sweeps, pool)
+                for result in (greedy, refined):
+                    want = label_medoids(dist, result.medoids, y, gamma)
+                    assert result.objective == want.objective, (i, gamma, pool)
+                    assert np.array_equal(result.assignment, assign(dist, result.medoids))
+                if pool == "cluster" or len(refined.trace) == sweeps:
+                    continue
+                stopped += 1
+                medoids = list(refined.medoids)
+                for k, j in itertools.product(range(len(medoids)), range(len(dist))):
+                    if j not in medoids:
+                        swapped = medoids[:k] + [j] + medoids[k + 1 :]
+                        swap = label_medoids(dist, swapped, y, gamma).objective
+                        assert swap <= refined.objective, (i, gamma, k, j)
+        medoids = rng.permutation(len(dist))[: int(rng.integers(1, 5))]
+        assert facility_score(dist, medoids) == pytest.approx(
+            facility_oracle(dist.T, medoids), rel=1e-12, abs=1e-12
+        )
+        total, oracle_medoids = oracle_score(dist, y)
+        want_total, want_medoids = oracle_score_oracle(dist.T, y)
+        assert total == pytest.approx(want_total, rel=1e-12, abs=1e-12), i
+        assert list(oracle_medoids) == want_medoids, i
+    assert stopped == 200  # every whole-batch refinement stopped early
 
 
 def tied_grid_instances():
