@@ -87,8 +87,7 @@ def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int
     # per class, the member of least cost, ties to the smallest index
     order = np.lexsort((costs, y_star))
     medoids = order[np.searchsorted(y_star[order], np.arange(num_classes))]
-    # a running total in class order; ``np.sum`` would add pairwise
-    total = 0.0
-    for cost in costs[medoids].tolist():
-        total -= cost
+    # a running total in class order, where ``np.sum`` would add pairwise;
+    # ``0.0 -`` gives a zero total the sign that subtracting each cost does
+    total = float(0.0 - np.add.accumulate(costs[medoids])[-1])
     return total, tuple(medoids.tolist())

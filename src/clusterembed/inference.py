@@ -76,7 +76,8 @@ BRUTE_FORCE_CAP = 10**6
 LAZY_BLOCK_ROWS = 64
 LAZY_SLACK = 1e-9
 
-# Refinement candidates: members of the medoid's cluster, or the whole batch.
+# Refinement candidate pools: members of the medoid's cluster, or the whole
+# batch; each position also keeps its own medoid as a candidate.
 CandidatePool = Literal["cluster", "all"]
 
 
@@ -250,39 +251,37 @@ def pam_refine(
     for the same ``dist``, ``y_star`` and ``gamma``, by sequential
     medoid/point exchanges.
 
-    With the default ``candidate_pool="cluster"``, each outer sweep freezes
-    the assignment induced by the current medoids, then for every medoid
-    position k picks, among the current members of cluster k, the exchange
-    candidate j maximizing
+    Each outer sweep visits every medoid position k in turn. Position k's
+    candidates are its pool, plus its own medoid, less the other positions'
+    medoids: keeping the current medoid is always an option, and the
+    medoid set stays duplicate-free. A position whose only candidate is its
+    own medoid keeps it and is not scored. Otherwise the best candidate is
+    installed in place, ties to the smallest index. Sweeps stop early once
+    one of them changes nothing.
+
+    With the default ``candidate_pool="cluster"``, the pool is the current
+    members of cluster k under the assignment frozen at the start of the
+    sweep, and a candidate j is scored by
 
         within-cluster-k facility score of j
         + gamma * margin(assign with position k swapped to j, y_star)
 
-    and installs it in place. With ``candidate_pool="all"``, candidates
-    range over the whole batch and each exchange is scored by the full
-    objective A(S with position k swapped to j); when this variant stops
-    changing the result is a single-exchange local optimum of A (no swap of
-    one medoid for any other point improves A). The cheaper within-cluster
-    surrogate does not have that property, which is why the whole-batch
-    variant pays for full evaluations.
+    With ``candidate_pool="all"``, the pool is the whole batch and each
+    exchange is scored by the full objective A(S with position k swapped to
+    j); when this variant stops changing the result is a single-exchange
+    local optimum of A (no swap of one medoid for any other point improves
+    A). The cheaper within-cluster surrogate does not have that property,
+    which is why the whole-batch variant pays for full evaluations.
 
-    Points serving as other positions' medoids are never candidates, which
-    keeps the medoid set duplicate-free; a cluster with no members keeps
-    its medoid. Ties go to the smallest candidate index. Sweeps stop early
-    once one of them changes nothing.
-
-    The trace holds A(S) after each completed sweep. For the whole-batch
-    variant it never decreases: each installed swap maximizes A with
-    keeping the current medoid among the candidates. For the within-cluster
-    variant the frozen-assignment surrogate lower-bounds the true facility
-    score, the bound is tight when j is the incumbent medoid, and the
-    margin term is evaluated exactly, so each swap can only raise A as
-    well, provided the incumbent is a candidate: a member of its own
-    cluster, or the cluster is empty. Every ``pairwise_distances`` matrix
-    meets this, since a point is at distance 0 from itself and a medoid
-    that coincides with an earlier one has an empty cluster. Where another
-    medoid serves a medoid more cheaply than it serves itself, as a
-    positive diagonal entry allows, the trace can fall.
+    The trace holds A(S) after each completed sweep. The whole-batch
+    variant installs at each position the candidate of greatest A, and the
+    incumbent is one of them. In the within-cluster variant the facility
+    score under the frozen assignment lower-bounds the true one and equals
+    it at the start of the sweep, and each swap raises that bound plus the
+    exact margin term or keeps it. So in exact arithmetic no sweep lowers A
+    in either pool. In floating point this is measured, not proven: the
+    tests check that the seed's objective followed by the trace never
+    falls, with no tolerance.
     """
     _check_dist(dist)
     m = dist.shape[0]
@@ -301,16 +300,16 @@ def pam_refine(
     for _ in range(max_sweeps):
         changed = False
         for k in range(num_classes):
-            members = np.flatnonzero(current.assignment == k)
-            cands = members if candidate_pool == "cluster" else np.arange(m)
-            other_medoid = np.zeros(m, dtype=bool)
-            other_medoid[medoids[:k] + medoids[k + 1 :]] = True
-            cands = cands[~other_medoid[cands]]
-            if cands.size == 0:
+            # the pool and the own medoid, less the other positions' medoids
+            is_cand = current.assignment == k if candidate_pool == "cluster" else np.ones(m, bool)
+            is_cand[medoids] = False
+            is_cand[medoids[k]] = True
+            cands = np.flatnonzero(is_cand)
+            if cands.size == 1:  # only the own medoid, which it keeps
                 continue
             surrogate = other_min = other_pos = None
             if candidate_pool == "cluster":
-                surrogate = -dist.T[np.ix_(members, cands)].sum(axis=0)
+                surrogate = -dist.T[np.ix_(current.assignment == k, cands)].sum(axis=0)
             if surrogate is None or gamma != 0.0:  # else the surrogate is the score
                 other_min, other_pos = _nearest_other(dist, medoids, k)
             scores = _swap_scores(dist, gamma, margins, k, cands, other_min, other_pos, surrogate)

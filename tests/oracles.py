@@ -216,6 +216,9 @@ def pam_refine_reference(
 ) -> InferenceResult:
     """Swap refinement as first written: one full ``assign`` per candidate
     swap. Kept as the regression reference for the batched candidate scoring.
+    A position's candidates are its pool (the cluster's members or the whole
+    batch) plus its own medoid, less the other positions' medoids; a
+    position whose only candidate is its own medoid keeps it unscored.
     It reads medoid columns ``dist[:, j]``, so it matches the package on
     symmetric matrices only."""
     m = dist.shape[0]
@@ -227,10 +230,11 @@ def pam_refine_reference(
         changed = False
         for k in range(num_classes):
             members = np.flatnonzero(labels == k)
-            cands = members if candidate_pool == "cluster" else np.arange(m)
+            pool = members if candidate_pool == "cluster" else np.arange(m)
             other_medoids = set(medoids) - {medoids[k]}
+            cands = np.union1d(pool, [medoids[k]])
             cands = cands[~np.isin(cands, list(other_medoids))]
-            if cands.size == 0:
+            if cands.size == 1:
                 continue
             if candidate_pool == "cluster":
                 scores = -dist[np.ix_(members, cands)].sum(axis=0)

@@ -122,10 +122,22 @@ def test_pam_fixed_point_trace_length_one():
     assert len(result.trace) == 1
 
 
+def positive_diagonal_instance(rng):
+    """A symmetric matrix with a positive diagonal, so another medoid can
+    serve a medoid more cheaply than it serves itself."""
+    m = int(rng.integers(6, 20))
+    upper = np.triu(rng.uniform(0.0, 3.0, size=(m, m)))
+    dist = upper + np.triu(upper, 1).T
+    y = rng.permutation(np.arange(m) % int(rng.integers(2, 5)))
+    return dist, y
+
+
 def test_pam_improves_on_greedy_and_is_monotone():
+    """On distance matrices, and on symmetric matrices with a positive
+    diagonal, where a medoid need not belong to its own cluster."""
     rng = np.random.default_rng(23)
-    for trial in range(30):
-        dist, y = random_instance(rng)
+    for trial in range(60):
+        dist, y = random_instance(rng) if trial < 30 else positive_diagonal_instance(rng)
         gamma = (0.0, 0.5, 2.0)[trial % 3]
         seed = greedy_inference(dist, y, gamma)
         for pool in ("cluster", "all"):
@@ -374,12 +386,14 @@ def asymmetric_instance(rng, kind):
 def test_asymmetric_matrix_is_read_as_medoid_rows(kind):
     """``dist[s, i]`` is the cost of serving point i from medoid s in every
     routine, so no symmetry is needed. The scores ``infer`` carries are the
-    ones ``label_medoids`` and ``assign`` give its medoids, bit for bit; a
-    whole-batch refinement that stops is a single-swap local optimum; and
-    the facility and oracle scores equal the loop oracles, which read
+    ones ``label_medoids`` and ``assign`` give its medoids, bit for bit; in
+    both pools greedy's objective followed by the refinement trace never
+    falls, with no tolerance, and every refinement stops before its sweep
+    cap; a whole-batch refinement is a single-swap local optimum; and the
+    facility and oracle scores equal the loop oracles, which read
     ``dist[point, medoid]``, on the transpose."""
     rng = np.random.default_rng(ASYMMETRIC_KINDS.index(kind))
-    sweeps, stopped = 8, 0
+    sweeps = 8
     for i in range(100):
         dist, y = asymmetric_instance(rng, kind)
         assert not np.array_equal(dist, dist.T), i
@@ -390,9 +404,11 @@ def test_asymmetric_matrix_is_read_as_medoid_rows(kind):
                     want = label_medoids(dist, result.medoids, y, gamma)
                     assert result.objective == want.objective, (i, gamma, pool)
                     assert np.array_equal(result.assignment, assign(dist, result.medoids))
-                if pool == "cluster" or len(refined.trace) == sweeps:
+                objectives = [greedy.objective] + refined.trace
+                assert all(a <= b for a, b in itertools.pairwise(objectives)), (i, gamma, pool)
+                assert len(refined.trace) < sweeps, (i, gamma, pool)
+                if pool == "cluster":
                     continue
-                stopped += 1
                 medoids = list(refined.medoids)
                 for k, j in itertools.product(range(len(medoids)), range(len(dist))):
                     if j not in medoids:
@@ -407,7 +423,6 @@ def test_asymmetric_matrix_is_read_as_medoid_rows(kind):
         want_total, want_medoids = oracle_score_oracle(dist.T, y)
         assert total == pytest.approx(want_total, rel=1e-12, abs=1e-12), i
         assert list(oracle_medoids) == want_medoids, i
-    assert stopped == 200  # every whole-batch refinement stopped early
 
 
 def tied_grid_instances():
