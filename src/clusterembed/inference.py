@@ -18,10 +18,18 @@ matrix to be symmetric, only square.
 
 Costs (m points, C medoids, K classes): every greedy step and every medoid
 position of a refinement sweep scores n <= m candidates, reading their
-rows. Each point's nearest other medoid comes from the caller: greedy
-keeps it as running state, O(m) per step, and refinement derives it per
-position from the other medoids' rows, O(m * C). Without the margin a
-scored candidate costs one row, O(m); the within-cluster refinement at
+rows. Which medoid serves a point follows one rule, ``_serves``: the
+nearer, ties to the smaller position. Each point's nearest other medoid
+comes from the caller: greedy keeps each point's nearest chosen medoid as
+running state, O(m) per step, and refinement reads it from a table of
+each point's two nearest medoids (``_two_nearest``), O(m) per position.
+The table is built, O(m * C log C), when a position first needs it (with
+the margin, or in the whole-batch pool) and again only after a swap is
+installed, so the within-cluster refinement at gamma = 0 never builds it.
+Few positions install a swap (74 of 2,097 margin-scored positions in a
+40-iteration training run at m = 128, C = 32), so the table is rebuilt
+rather than updated point by point. Without the margin a scored
+candidate costs one row, O(m); the within-cluster refinement at
 gamma = 0 scores its members' submatrix and reads no rows. With the
 margin, a step or position finds which points each candidate takes from
 the other medoids, an (n, m) mask, and scores the margins with one
@@ -121,19 +129,20 @@ def _check_dist(dist: np.ndarray) -> None:
         raise InvalidInputError(f"distance matrix must be square, got shape {dist.shape}")
 
 
-def _nearest_other(
-    dist: np.ndarray, medoids: list[int], pos: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's cost from its nearest medoid other than the one at
-    position ``pos``, read from the other medoids' rows, and that medoid's
-    position in ``medoids`` (ties to the smallest position). With no other
-    medoid the cost is inf."""
-    others = medoids[:pos] + medoids[pos + 1 :]
-    if not others:
-        return np.full(len(dist), np.inf), np.zeros(len(dist), np.intp)
-    rows = dist[others]
-    nearest = rows.argmin(axis=0)
-    return rows[nearest, np.arange(len(dist))], nearest + (nearest >= pos)
+def _serves(cost: np.ndarray, pos: int, other_cost: np.ndarray, other_pos: np.ndarray) -> np.ndarray:
+    """The serving rule of ``assign``: where a medoid at position ``pos``
+    serving at ``cost`` beats one at ``other_pos`` serving at
+    ``other_cost``. The nearer medoid serves, ties to the smaller position."""
+    return (cost < other_cost) | ((cost == other_cost) & (pos < other_pos))
+
+
+def _two_nearest(dist: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest and second-nearest medoid in ``_serves`` order:
+    (2, m) costs and positions in ``medoids``. Position ``len(medoids)``
+    stands for no medoid, at cost inf."""
+    rows = np.vstack([dist[medoids], np.full(len(dist), np.inf)])
+    at = np.argsort(rows, axis=0, kind="stable")[:2]
+    return np.take_along_axis(rows, at, axis=0), at
 
 
 def _swap_scores(
@@ -148,9 +157,9 @@ def _swap_scores(
 ) -> np.ndarray:
     """A(S) for each medoid set S that puts one of ``cands`` at position
     ``pos`` of a medoid set whose other medoids serve each point at
-    distance ``other_min`` from position ``other_pos`` (``_nearest_other``).
+    distance ``other_min`` from position ``other_pos``.
 
-    Labels follow ``assign``: nearest medoid, ties to the smallest position.
+    Labels follow ``assign``, through ``_serves``.
     ``margins`` scores against the true classes when gamma != 0.
     ``facility`` replaces the exact facility part, one value per candidate;
     given it at gamma = 0, the call returns it and the other medoids may be
@@ -161,9 +170,8 @@ def _swap_scores(
     # row c holds the cost of serving each point from candidate c
     cand_dist = dist[cands]
     if gamma != 0.0:
-        # a candidate takes a point when strictly closer than the other
-        # medoids, or as close as the nearest of them and earlier in order
-        takes = (cand_dist < other_min) | ((cand_dist == other_min) & (pos < other_pos))
+        # the points each candidate takes from the other medoids
+        takes = _serves(cand_dist, pos, other_min, other_pos)
     if facility is None:
         # in place: ``takes`` above was the last reader of the raw rows
         facility = -np.minimum(cand_dist, other_min, out=cand_dist).sum(axis=1)
@@ -223,7 +231,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         chosen.append(pick)
         trace.append(top)
         slack = LAZY_SLACK * abs(trace[0])
-        best_pos[dist[pick] < best_dist] = step
+        best_pos[_serves(dist[pick], step, best_dist, best_pos)] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
 
     # the running state is ``assign``'s labels and the last score is A(S)
@@ -294,8 +302,9 @@ def pam_refine(
     _check_refine_args(max_sweeps, candidate_pool)
 
     margins = SwapMargins(y_star) if gamma != 0.0 else None
-    # the labelled current set, renewed when a sweep changes it
-    current = seed
+    # the labelled current set, renewed when a sweep changes it, and each
+    # point's two nearest medoids, dropped when a swap changes the set
+    current, nearest = seed, None
     trace: list[float] = []
     for _ in range(max_sweeps):
         changed = False
@@ -311,12 +320,16 @@ def pam_refine(
             if candidate_pool == "cluster":
                 surrogate = -dist.T[np.ix_(current.assignment == k, cands)].sum(axis=0)
             if surrogate is None or gamma != 0.0:  # else the surrogate is the score
-                other_min, other_pos = _nearest_other(dist, medoids, k)
+                nearest = nearest or _two_nearest(dist, medoids)
+                # the nearest other medoid: level 1 where level 0 is position k
+                own = nearest[1][0] == k
+                other_min, other_pos = (np.where(own, level[1], level[0]) for level in nearest)
             scores = _swap_scores(dist, gamma, margins, k, cands, other_min, other_pos, surrogate)
             pick = int(cands[int(np.argmax(scores))])
             if pick != medoids[k]:
                 medoids[k] = pick
                 changed = True
+                nearest = None
         if changed:
             current = label_medoids(dist, medoids, y_star, gamma)
         trace.append(current.objective)

@@ -139,16 +139,12 @@ def batch_loss(
 
 
 def heldout_rows(dataset: Dataset, class_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows of the given classes with labels remapped to dense ids
-    in sorted-class order."""
-    ordered = sorted(int(c) for c in class_ids)
-    feats = []
-    labels = []
-    for dense, cid in enumerate(ordered):
-        members = dataset.class_index[cid]
-        feats.append(dataset.features[members])
-        labels.append(np.full(members.size, dense, dtype=np.intp))
-    return np.concatenate(feats, axis=0), np.concatenate(labels)
+    """Feature rows of the given classes, each a class of the dataset named
+    once, with labels remapped to dense ids in sorted-class order: the rows
+    of the smallest class first, each class's rows in dataset order."""
+    rows = np.flatnonzero(np.isin(dataset.labels, class_ids))
+    rows = rows[np.argsort(dataset.labels[rows], kind="stable")]
+    return dataset.features[rows], np.searchsorted(np.unique(class_ids), dataset.labels[rows])
 
 
 def evaluate_embeddings(

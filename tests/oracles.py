@@ -172,11 +172,24 @@ def recall_at_k_oracle(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
     return hits / m
 
 
+def nearest_other_reference(dist: np.ndarray, medoids, pos: int) -> tuple[np.ndarray, list]:
+    """Each point's cost from its nearest medoid other than the one at
+    position ``pos``, read from the other medoids' rows ``dist[s, :]``, and
+    that medoid's position in ``medoids``, ties to the smallest position.
+    With no other medoid the cost is inf and the position None."""
+    costs, positions = np.full(dist.shape[0], np.inf), [None] * dist.shape[0]
+    for i in range(dist.shape[0]):
+        for p, s in enumerate(medoids):
+            if p != pos and (positions[i] is None or dist[s, i] < costs[i]):
+                costs[i], positions[i] = dist[s, i], p
+    return costs, positions
+
+
 def greedy_reference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
     """Greedy inference as first written: running nearest-medoid state and
     one margin call per candidate. Kept as the regression reference for the
-    batched candidate scoring. It reads medoid columns ``dist[:, j]``, so it
-    matches the package on symmetric matrices only."""
+    batched candidate scoring. It reads medoid columns ``dist[:, j]``
+    throughout, so the package on a matrix matches it on the transpose."""
     m = dist.shape[0]
     num_classes = int(np.max(y_star)) + 1
     chosen: list[int] = []
@@ -205,7 +218,7 @@ def greedy_reference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     return InferenceResult(
         medoids=medoids,
         assignment=best_pos.copy(),
-        objective=label_medoids(dist, medoids, y_star, gamma).objective,
+        objective=label_medoids(dist.T, medoids, y_star, gamma).objective,
         trace=trace,
     )
 
@@ -219,14 +232,14 @@ def pam_refine_reference(
     A position's candidates are its pool (the cluster's members or the whole
     batch) plus its own medoid, less the other positions' medoids; a
     position whose only candidate is its own medoid keeps it unscored.
-    It reads medoid columns ``dist[:, j]``, so it matches the package on
-    symmetric matrices only."""
+    It reads medoid columns ``dist[:, j]`` throughout, so the package on a
+    matrix matches it on the transpose."""
     m = dist.shape[0]
     num_classes = int(np.max(y_star)) + 1
     medoids = [int(i) for i in initial_medoids]
     trace: list[float] = []
     for _ in range(max_sweeps):
-        labels = assign(dist, medoids)
+        labels = assign(dist.T, medoids)
         changed = False
         for k in range(num_classes):
             members = np.flatnonzero(labels == k)
@@ -246,18 +259,18 @@ def pam_refine_reference(
                 trial = list(medoids)
                 for idx, cand in enumerate(cands):
                     trial[k] = int(cand)
-                    scores[idx] += gamma * margin(assign(dist, trial), y_star)
+                    scores[idx] += gamma * margin(assign(dist.T, trial), y_star)
             pick = int(cands[int(np.argmax(scores))])
             if pick != medoids[k]:
                 medoids[k] = pick
                 changed = True
-        trace.append(label_medoids(dist, medoids, y_star, gamma).objective)
+        trace.append(label_medoids(dist.T, medoids, y_star, gamma).objective)
         if not changed:
             break
     final = tuple(medoids)
     return InferenceResult(
         medoids=final,
-        assignment=assign(dist, final),
+        assignment=assign(dist.T, final),
         objective=trace[-1],
         trace=trace,
     )

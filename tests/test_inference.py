@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterembed import inference
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score, oracle_score
 from clusterembed.inference import (
-    _nearest_other,
     _swap_scores,
+    _two_nearest,
     brute_force_inference,
     greedy_inference,
     infer,
@@ -18,7 +20,13 @@ from clusterembed.inference import (
 )
 from clusterembed.metrics import SwapMargins, margin
 
-from oracles import facility_oracle, greedy_reference, oracle_score_oracle, pam_refine_reference
+from oracles import (
+    facility_oracle,
+    greedy_reference,
+    nearest_other_reference,
+    oracle_score_oracle,
+    pam_refine_reference,
+)
 
 
 def line_instance():
@@ -340,7 +348,9 @@ def test_candidate_scoring_matches_reference_loops_at_evaluation_scale(
 
 def test_candidate_scores_equal_objective_of_each_swapped_set():
     """Every candidate's score is A(S) of the set with the candidate placed
-    at the position, including appends and ties between duplicate points."""
+    at the position, including appends and ties between duplicate points,
+    with the other medoids read from the two-nearest table as refinement
+    reads them."""
     rng = np.random.default_rng(42)
     for i in range(60):
         m = int(rng.integers(6, 16))
@@ -350,8 +360,9 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
         medoids = [int(v) for v in rng.permutation(m)[: 1 + i % 4]]
         pos = int(rng.integers(0, len(medoids) + 1))
         cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
+        costs, at = _two_nearest(dist, medoids)
+        nearest = [np.where(at[0] == pos, level[1], level[0]) for level in (costs, at)]
         for gamma in (0.0, 0.5):
-            nearest = _nearest_other(dist, medoids, pos)
             margins = SwapMargins(y) if gamma else None
             scores = _swap_scores(dist, gamma, margins, pos, cands, *nearest)
             for cand, score in zip(cands, scores):
@@ -502,6 +513,39 @@ def test_margin_scoring_equals_reference_loops_on_ties_and_inf(instances):
             assert_same_result(refined, want, (i, pool))
 
 
+def asymmetric_instances():
+    """Ten instances of each ``ASYMMETRIC_KINDS`` kind, in turn."""
+    rng = np.random.default_rng(45)
+    for i in range(40):
+        yield asymmetric_instance(rng, ASYMMETRIC_KINDS[i % len(ASYMMETRIC_KINDS)])
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [tied_grid_instances, infinite_group_instances, asymmetric_instances],
+    ids=["tied-grid", "infinite-groups", "asymmetric"],
+)
+def test_two_nearest_table_equals_assign_and_nearest_other_loops(instances):
+    """Level 0 of ``_two_nearest`` is ``assign``'s labels, and each
+    position's nearest other medoid, read as refinement reads it, equals
+    the loop reference in cost and position under ``==``. With one medoid
+    there is no other: cost inf at position 1. Medoid sets of 1 to 5
+    points, so duplicate points and inf groups tie medoids exactly."""
+    rng = np.random.default_rng(46)
+    for i, (dist, _) in zip(range(10), instances()):
+        medoids = [int(v) for v in rng.permutation(len(dist))[: 1 + i % 5]]
+        costs, at = _two_nearest(dist, medoids)
+        assert np.array_equal(at[0], assign(dist, medoids)), i
+        for pos in range(len(medoids)):
+            other_min, other_pos = (np.where(at[0] == pos, lv[1], lv[0]) for lv in (costs, at))
+            want_min, want_pos = nearest_other_reference(dist, medoids, pos)
+            assert np.array_equal(other_min, want_min), (i, pos)
+            if len(medoids) == 1:
+                assert (other_pos == 1).all(), i
+            else:
+                assert other_pos.tolist() == want_pos, (i, pos)
+
+
 def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 score
     every candidate and later steps only those whose bound reaches the best
@@ -526,3 +570,54 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     dist, y = dist[:129, :129], np.arange(129) % 32
     greedy_inference(dist, y, 1.0)
     assert rows == list(range(129, 129 - 32, -1))
+
+
+MATRIX_KINDS = ["gaussian", "integer-tied", "rounded-asymmetric", "inf-block", "negative"]
+
+
+@st.composite
+def square_instances(draw):
+    """A square matrix of one of five kinds and dense labels, where the
+    last class may hold one point: Gaussian or integer-grid embeddings
+    (distances, with exact ties on the grid), asymmetric integer entries,
+    an asymmetric block at inf distance, or asymmetric entries of either
+    sign."""
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    m = draw(st.integers(2, 14))
+    if kind in ("gaussian", "integer-tied"):
+        coords = st.floats(-3.0, 3.0) if kind == "gaussian" else st.integers(-2, 2)
+        emb = np.array(draw(st.lists(coords, min_size=2 * m, max_size=2 * m)), float)
+        dist = pairwise_distances(EmbeddingBatch(emb.reshape(m, 2)))
+    else:
+        entries = {
+            "rounded-asymmetric": st.integers(0, 3),
+            "inf-block": st.floats(0.0, 3.0),
+            "negative": st.floats(-3.0, 3.0),
+        }[kind]
+        dist = np.array(draw(st.lists(entries, min_size=m * m, max_size=m * m)), float)
+        dist = dist.reshape(m, m)
+        if kind == "inf-block":
+            group = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+            dist[~group[:, None] & group[None, :]] = np.inf
+    num_classes = draw(st.integers(1, min(m, 5)))
+    # with ``single`` the last class holds only its first point
+    single = num_classes > 1 and draw(st.booleans())
+    more = m - num_classes
+    rest = draw(st.lists(st.integers(0, num_classes - 1 - single), min_size=more, max_size=more))
+    return dist, np.array(draw(st.permutations(list(range(num_classes)) + rest)))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(square_instances())
+def test_infer_equals_reference_loops_on_square_matrices(instance):
+    """``infer`` on ``dist`` equals, under ``==``, the per-candidate greedy
+    and refinement loops on ``dist.T`` (they read medoid columns), at
+    gamma 0 and 0.5 in both pools."""
+    dist, y = instance
+    for gamma in (0.0, 0.5):
+        seed = greedy_reference(dist.T, y, gamma)
+        for pool in ("cluster", "all"):
+            greedy, refined = infer(dist, y, gamma, 5, pool)
+            assert_same_result(greedy, seed, (gamma, pool))
+            want = pam_refine_reference(dist.T, y, seed.medoids, gamma, 5, pool)
+            assert_same_result(refined, want, (gamma, pool))
