@@ -14,7 +14,7 @@ medoid/member exchanges; ``infer`` runs one after the other.
 The distance matrix is read in one orientation, as in ``facility``:
 ``D[s, i]`` is the cost of serving point i from medoid s, so a candidate
 is scored from its contiguous row ``D[cands]``. Nothing here needs the
-matrix to be symmetric, only square.
+matrix to be symmetric, only square, nonempty and free of nan.
 
 Costs (m points, C medoids, K classes): every greedy step and every medoid
 position of a refinement sweep scores n <= m candidates, reading their
@@ -33,9 +33,12 @@ candidate costs one row, O(m); the within-cluster refinement at
 gamma = 0 scores its members' submatrix and reads no rows. With the
 margin, a step or position finds which points each candidate takes from
 the other medoids, an (n, m) mask, and scores the margins with one
-``SwapMargins`` call (built once per greedy or refinement call). That
-call counts only the points a candidate moves: O(m + C * K + moves +
-n * (C + K)) beyond the mask, with no n * C * K table. Its sums of
+``SwapMargins`` call (built once per greedy or refinement call). Its
+labels are positions: 0..C-1 for the medoids and C (= K) for no medoid,
+at cost inf, as in ``_two_nearest``; greedy starts every point there,
+so no point's base label is the position being scored. That call counts
+only the points a candidate moves: O(m log m + K * K + moves + n * K)
+beyond the mask, with no n * K * K table. Its sums of
 x ln x are exact integers in fixed point, so every candidate's margin
 has the bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``,
 the held-out metric), and maxima and ties are the scalar ones. Greedy at gamma = 0 on a nonnegative matrix (every
@@ -123,10 +126,17 @@ def label_medoids(
     )
 
 
-def _check_dist(dist: np.ndarray) -> None:
-    """Reject a distance matrix that is not square."""
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise InvalidInputError(f"distance matrix must be square, got shape {dist.shape}")
+def _check_dist(dist: np.ndarray) -> float:
+    """Reject a distance matrix that is not square, is empty or holds nan
+    (which ``_serves`` and ``assign``'s ``argmin`` would serve differently).
+    Returns its least entry."""
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
+        raise InvalidInputError(f"distance matrix must be square and nonempty, got {dist.shape}")
+    # one pass, and no m x m temporary: the minimum is nan if any entry is
+    least = float(dist.min())
+    if np.isnan(least):
+        raise InvalidInputError("distance matrix holds nan")
+    return least
 
 
 def _serves(cost: np.ndarray, pos: int, other_cost: np.ndarray, other_pos: np.ndarray) -> np.ndarray:
@@ -188,21 +198,22 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     arbitrary constant that cancels out of the argmax). Ties go to the
     smallest candidate index.
     """
-    _check_dist(dist)
+    least = _check_dist(dist)
     m = dist.shape[0]
     y_star, num_classes = _check_labels(y_star, m)
 
     chosen: list[int] = []
     trace: list[float] = []
-    # each point's nearest chosen medoid: distance and position
+    # each point's nearest chosen medoid: distance and position, starting
+    # at position ``num_classes``, no medoid, at cost inf
     best_dist = np.full(m, np.inf)
-    best_pos = np.zeros(m, dtype=np.intp)
+    best_pos = np.full(m, num_classes, dtype=np.intp)
     # each point's gain A(S + {i}) - A(S) when last scored; inf until then
     gain = np.full(m, np.inf)
     # gains bound later gains at gamma = 0, where A is submodular; on a
     # nonnegative matrix no |A(S)| exceeds the first step's, which sizes
     # the slack
-    lazy_ok = gamma == 0.0 and bool(dist.min() >= 0)
+    lazy_ok = gamma == 0.0 and least >= 0
     margins = SwapMargins(y_star) if gamma != 0.0 else None
     for step in range(num_classes):
         cands = np.delete(np.arange(m), chosen)

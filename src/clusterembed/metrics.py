@@ -138,46 +138,46 @@ class SwapMargins:
     what every call shares, ``_xlogx_table(m)`` and the class counts, so an
     inference routine builds one per call.
 
-    A call costs O(n * m) to find the moved points and O(m + C * K + moves
-    + n * (C + K)) to count them, for n rows, C label ids and K classes;
-    no n * C * K table is built.
+    Labels are inference's, not any integers: ``y_star`` holds classes
+    0..K-1, each present, as ``facility._check_labels`` returns them, and
+    a base label is a medoid position 0..K-1, or K for a point that no
+    medoid serves yet. So the joint table is (K + 1) x K, sized here, and
+    no id is relabelled.
+
+    A call costs O(n * m) to find the moved points and O(m log m + K * K
+    + moves + n * K) to count them, for n rows; no n * K * K table is
+    built.
     """
 
     def __init__(self, y_star: np.ndarray) -> None:
-        y_star = np.asarray(y_star)
-        self.truth = _compact_ids(y_star)
+        self.truth = np.asarray(y_star, dtype=np.intp)
         classes = np.bincount(self.truth)
         self.num_classes = classes.size
-        self.nonempty_classes = np.count_nonzero(classes)
-        self.xlogx = _xlogx_table(y_star.size)
+        self.xlogx = _xlogx_table(self.truth.size)
         self.s_classes = self.xlogx[classes].sum()
 
     def __call__(self, base: np.ndarray, pos: int, takes: np.ndarray) -> np.ndarray:
         """``margin(np.where(row, pos, base), y_star)`` for every row of the
-        (n, m) bool matrix ``takes``, bit for bit. A point whose ``base``
-        label is ``pos`` is in cluster ``pos`` whatever its row says.
+        (n, m) bool matrix ``takes``, bit for bit. ``pos`` is a position
+        0..K-1 and no ``base`` label is ``pos``.
 
-        The joint count of the points outside cluster ``pos`` is built
-        once. A row changes it only where it moves points: they leave their
-        (base cluster, class) cells and join the (``pos``, class) cells.
-        The moves are read in cell order, so each touched cell is one run,
-        and the joint sum of x ln x changes by the touched cells' terms
-        alone. Cluster sizes and cluster ``pos``'s class counts are (n, C)
-        and (n, K) tables.
+        The joint count of the base labels is built once. A row changes it
+        only where it moves points: they leave their (base cluster, class)
+        cells and join the (``pos``, class) cells. The moves are read in
+        cell order, so each touched cell is one run, and the joint sum of
+        x ln x changes by the touched cells' terms alone. Cluster sizes and
+        cluster ``pos``'s class counts are (n, K + 1) and (n, K) tables.
         """
         n, m = takes.shape
         truth, num_classes, xlogx = self.truth, self.num_classes, self.xlogx
-        stays = base != pos
-        labels = _compact_ids(base)
-        num_ids = int(labels.max()) + 1
-        cell = labels * num_classes + truth
-        joint = np.bincount(cell[stays], minlength=num_ids * num_classes)
-        # the points a row can move, in cell order: a row's moves out of one
-        # cell are then one run of its nonzero entries
-        movable = np.flatnonzero(stays)
-        movable = movable[np.argsort(cell[movable])]
-        rows, at = np.divmod(np.flatnonzero(takes[:, movable]), movable.size)
-        moved = movable[at]
+        num_ids = num_classes + 1
+        cell = base * num_classes + truth
+        joint = np.bincount(cell, minlength=num_ids * num_classes)
+        # the points in cell order: a row's moves out of one cell are then
+        # one run of its nonzero entries
+        order = np.argsort(cell)
+        rows, at = np.divmod(np.flatnonzero(takes[:, order]), m)
+        moved = order[at]
         moved_cell = cell[moved]
         # the start of each run, and the end of the last
         edge = np.ones(moved.size + 1, dtype=bool)
@@ -191,10 +191,10 @@ class SwapMargins:
         drop = np.zeros(n, dtype=np.int64)
         np.add.at(drop, rows[first], xlogx[before] - xlogx[after])
         sizes = joint.reshape(num_ids, num_classes).sum(axis=1) - np.bincount(
-            rows * num_ids + labels[moved], minlength=n * num_ids
+            rows * num_ids + base[moved], minlength=n * num_ids
         ).reshape(n, num_ids)
         joins = np.bincount(rows * num_classes + truth[moved], minlength=n * num_classes)
-        joins = joins.reshape(n, num_classes) + np.bincount(truth[~stays], minlength=num_classes)
+        joins = joins.reshape(n, num_classes)
         joined = joins.sum(axis=1)
         return 1.0 - _nmis(
             xlogx[joint].sum() - drop + xlogx[joins].sum(axis=1),
@@ -204,7 +204,7 @@ class SwapMargins:
             - np.bincount(rows[first[after == 0]], minlength=n)
             + (joins > 0).sum(axis=1),
             (sizes > 0).sum(axis=1) + (joined > 0),
-            self.nonempty_classes,
+            num_classes,
             m,
         )
 

@@ -235,6 +235,34 @@ def test_pam_validation():
         greedy_inference(dist[:, :3], y, 0.0)
 
 
+def test_inference_rejects_nan_and_empty_distance_matrices():
+    """``assign``'s ``argmin`` lets a nan cost serve a point and ``_serves``
+    never does, so greedy, refinement and ``infer`` refuse nan: on 200
+    uniform 8 x 8 matrices with three nan entries each, at gamma 0 and
+    0.5. An empty matrix is refused too."""
+    rng = np.random.default_rng(8)
+    y = np.arange(8) % 3
+    for _ in range(200):
+        dist = rng.uniform(size=(8, 8))
+        dist.flat[rng.choice(64, size=3, replace=False)] = np.nan
+        for gamma in (0.0, 0.5):
+            seed = label_medoids(dist, (0, 1, 2), y, gamma)
+            for run in (
+                lambda: greedy_inference(dist, y, gamma),
+                lambda: pam_refine(dist, y, seed, gamma, 5),
+                lambda: infer(dist, y, gamma, 5, "all"),
+            ):
+                with pytest.raises(InvalidInputError, match="nan"):
+                    run()
+    empty, none = np.zeros((0, 0)), np.zeros(0, dtype=int)
+    with pytest.raises(InvalidInputError):
+        greedy_inference(empty, none, 0.0)
+    with pytest.raises(InvalidInputError):
+        pam_refine(empty, none, inference.InferenceResult((), none, 0.0), 0.0, 5)
+    with pytest.raises(InvalidInputError):
+        infer(empty, none, 0.0, 5)
+
+
 @pytest.mark.parametrize(
     "max_sweeps, pool, match", [(0, "cluster", "sweep"), (5, "everything", "candidate pool")]
 )
@@ -350,15 +378,17 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
     """Every candidate's score is A(S) of the set with the candidate placed
     at the position, including appends and ties between duplicate points,
     with the other medoids read from the two-nearest table as refinement
-    reads them."""
+    reads them. As in inference, a set holds at most K medoids for K
+    classes, so positions stay below K."""
     rng = np.random.default_rng(42)
     for i in range(60):
         m = int(rng.integers(6, 16))
         dist, y = random_instance(rng, m=m, max_classes=4)
         if i % 2:
             dist = pairwise_distances(EmbeddingBatch(rng.integers(0, 3, size=(m, 2)) * 1.0))
-        medoids = [int(v) for v in rng.permutation(m)[: 1 + i % 4]]
-        pos = int(rng.integers(0, len(medoids) + 1))
+        num_classes = int(y.max()) + 1
+        medoids = [int(v) for v in rng.permutation(m)[: 1 + i % num_classes]]
+        pos = int(rng.integers(0, min(len(medoids) + 1, num_classes)))
         cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
         costs, at = _two_nearest(dist, medoids)
         nearest = [np.where(at[0] == pos, level[1], level[0]) for level in (costs, at)]
@@ -572,16 +602,19 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     assert rows == list(range(129, 129 - 32, -1))
 
 
-MATRIX_KINDS = ["gaussian", "integer-tied", "rounded-asymmetric", "inf-block", "negative"]
+MATRIX_KINDS = [
+    "gaussian", "integer-tied", "rounded-asymmetric", "inf-block", "negative", "positive-diagonal"
+]
 
 
 @st.composite
 def square_instances(draw):
-    """A square matrix of one of five kinds and dense labels, where the
+    """A square matrix of one of six kinds and dense labels, where the
     last class may hold one point: Gaussian or integer-grid embeddings
     (distances, with exact ties on the grid), asymmetric integer entries,
-    an asymmetric block at inf distance, or asymmetric entries of either
-    sign."""
+    an asymmetric block at inf distance, asymmetric entries of either
+    sign, or symmetric positive entries, diagonal included, so that a
+    medoid need not belong to its own cluster."""
     kind = draw(st.sampled_from(MATRIX_KINDS))
     m = draw(st.integers(2, 14))
     if kind in ("gaussian", "integer-tied"):
@@ -593,9 +626,12 @@ def square_instances(draw):
             "rounded-asymmetric": st.integers(0, 3),
             "inf-block": st.floats(0.0, 3.0),
             "negative": st.floats(-3.0, 3.0),
+            "positive-diagonal": st.floats(0.5, 3.0),
         }[kind]
         dist = np.array(draw(st.lists(entries, min_size=m * m, max_size=m * m)), float)
         dist = dist.reshape(m, m)
+        if kind == "positive-diagonal":
+            dist = np.triu(dist) + np.triu(dist, 1).T
         if kind == "inf-block":
             group = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
             dist[~group[:, None] & group[None, :]] = np.inf
@@ -607,17 +643,45 @@ def square_instances(draw):
     return dist, np.array(draw(st.permutations(list(range(num_classes)) + rest)))
 
 
+def contract_checked(call):
+    """``SwapMargins.__call__`` that first asserts the labels inference
+    must pass it: dense classes 0..K-1, a position ``pos`` below K, and
+    one base label per point in 0..K (K: no medoid), none of them ``pos``."""
+
+    def checked(margins, base, pos, takes):
+        k = margins.num_classes
+        assert np.array_equal(np.unique(margins.truth), np.arange(k))
+        assert 0 <= pos < k and base.dtype.kind == "i" and base.shape == takes.shape[1:]
+        assert ((0 <= base) & (base <= k) & (base != pos)).all(), (base, pos)
+        checked.calls += 1
+        return call(margins, base, pos, takes)
+
+    checked.calls = 0
+    return checked
+
+
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(square_instances())
 def test_infer_equals_reference_loops_on_square_matrices(instance):
     """``infer`` on ``dist`` equals, under ``==``, the per-candidate greedy
     and refinement loops on ``dist.T`` (they read medoid columns), at
-    gamma 0 and 0.5 in both pools."""
+    gamma 0 and 0.5 in both pools. Greedy's objective followed by the
+    refinement trace never falls, with no tolerance, and refinement stops
+    before its sweep cap. Every ``SwapMargins`` call meets its label
+    contract."""
     dist, y = instance
-    for gamma in (0.0, 0.5):
-        seed = greedy_reference(dist.T, y, gamma)
-        for pool in ("cluster", "all"):
-            greedy, refined = infer(dist, y, gamma, 5, pool)
-            assert_same_result(greedy, seed, (gamma, pool))
-            want = pam_refine_reference(dist.T, y, seed.medoids, gamma, 5, pool)
-            assert_same_result(refined, want, (gamma, pool))
+    sweeps = 5
+    checked = contract_checked(SwapMargins.__call__)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SwapMargins, "__call__", checked)
+        for gamma in (0.0, 0.5):
+            seed = greedy_reference(dist.T, y, gamma)
+            for pool in ("cluster", "all"):
+                greedy, refined = infer(dist, y, gamma, sweeps, pool)
+                assert_same_result(greedy, seed, (gamma, pool))
+                want = pam_refine_reference(dist.T, y, seed.medoids, gamma, sweeps, pool)
+                assert_same_result(refined, want, (gamma, pool))
+                objectives = [greedy.objective] + refined.trace
+                assert all(a <= b for a, b in itertools.pairwise(objectives)), (gamma, pool)
+                assert len(refined.trace) < sweeps, (gamma, pool)
+    assert checked.calls > 0

@@ -18,7 +18,7 @@ label_pairs = st.integers(2, 30).flatmap(
 
 
 def dense(y):
-    """Remap arbitrary labels to dense 0..C-1 in first-appearance order."""
+    """Remap arbitrary labels to dense 0..C-1 in sorted-value order."""
     y = np.asarray(y)
     _, inv = np.unique(y, return_inverse=True)
     return inv
@@ -136,20 +136,23 @@ def test_margin_is_one_minus_nmi():
 
 def test_batched_margin_matches_scalar_margin():
     """``SwapMargins`` scores each candidate row with the bits ``margin``
-    gives its materialized labels: random and gapped ids on both sides,
-    rows that take nothing, every point or a whole base cluster, a base
-    that already holds ``pos`` in places (greedy's first step, where the
-    points no candidate takes stay at position 0), and one-class
-    ``y_star``. Relabelled copies of ``y_star`` score exactly 0.0."""
+    gives its materialized labels, on labels as inference passes them:
+    dense classes 0..K-1, a position ``pos`` below K, and base positions
+    0..K other than ``pos``, where K stands for no medoid. Rows that take
+    nothing, every point or a whole base cluster, a base of no medoid at
+    all (greedy's first step), and one-class ``y_star``. Relabelled copies
+    of ``y_star`` score exactly 0.0."""
     rng = np.random.default_rng(16)
     for trial in range(300):
         m = int(rng.integers(1, 40))
-        y_star = rng.integers(0, rng.integers(1, 7), size=m) * int(rng.integers(1, 4))
-        y_star += int(rng.integers(0, 5))
-        base = rng.integers(0, rng.integers(1, 9), size=m) * 3 + int(rng.integers(0, 4))
-        pos = int(rng.choice([base[0], rng.integers(0, 30)]))
+        y_star = dense(rng.integers(0, rng.integers(1, 7), size=m) * int(rng.integers(1, 4)))
+        k = int(y_star.max()) + 1
+        pos = int(rng.integers(0, k))
+        # the labels a base may hold: positions 0..k, less ``pos``
+        others = np.delete(np.arange(k + 1), pos)
+        base = others[rng.integers(0, k, size=m)]
         if trial % 4 == 0:
-            base[rng.random(m) < 0.5] = pos
+            base[:] = k
         takes = rng.random((int(rng.integers(3, 12)), m)) < rng.random()
         takes[0] = False
         takes[1] = True
@@ -159,10 +162,35 @@ def test_batched_margin_matches_scalar_margin():
         want = [margin(row, y_star) for row in rows]
         assert scorer(base, pos, takes).tolist() == want, trial
         assert want == pytest.approx([1.0 - nmi_reference(r, y_star) for r in rows], abs=1e-12)
-        # a copy of y_star under new ids, as is and with one whole class moved to a fresh id
-        copy = rng.permutation(100)[y_star]
+        # a copy of y_star under other base labels, as is and with one whole class moved to pos
+        copy = rng.permutation(others)[y_star]
         whole = np.stack([np.zeros(m, dtype=bool), y_star == y_star[-1]])
-        assert scorer(copy, 100, whole).tolist() == [0.0, 0.0]
+        assert scorer(copy, pos, whole).tolist() == [0.0, 0.0]
+
+
+@st.composite
+def swap_margin_calls(draw):
+    """A ``SwapMargins`` call as inference makes it: dense classes of m
+    points, a position ``pos`` below their count K, a base of positions
+    0..K other than ``pos`` (K: no medoid), and n rows of moves."""
+    m = draw(st.integers(1, 30))
+    y_star = dense(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)))
+    k = int(y_star.max()) + 1
+    pos = draw(st.integers(0, k - 1))
+    others = [p for p in range(k + 1) if p != pos]
+    base = np.array(draw(st.lists(st.sampled_from(others), min_size=m, max_size=m)))
+    n = draw(st.integers(0, 6))
+    takes = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    return y_star, base, pos, np.array(takes, dtype=bool).reshape(n, m)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(swap_margin_calls())
+def test_swap_margins_rows_equal_margin_of_materialized_labels(call):
+    """Every row has the bits of ``margin`` of the labels it materializes."""
+    y_star, base, pos, takes = call
+    got = SwapMargins(y_star)(base, pos, takes).tolist()
+    assert got == [margin(row, y_star) for row in np.where(takes, pos, base)]
 
 
 def nmi_case(kind):
@@ -196,7 +224,10 @@ def test_nmi_and_batched_margin_equal_the_scalar_reference(kind):
     formula it replaced (2.6e-16 at worst on these rows), and is a Python
     float. ``margin`` lies within 1e-12 of 1 minus that formula, and
     ``SwapMargins`` gives a row ``margin``'s bits when the cluster of its
-    first point moves in from another row's labels."""
+    first point moves in from another row's labels. ``SwapMargins`` reads
+    inference's labels, so it sees ``y_star`` as dense classes 0..K-1 and
+    each row folded onto positions 0..K-1, with K (no medoid) where the
+    other row's label is the moving cluster's."""
     labels, y_star = nmi_case(kind)
     want = [nmi_reference(row, y_star) for row in labels]
     got = [nmi(row, y_star) for row in labels]
@@ -206,10 +237,14 @@ def test_nmi_and_batched_margin_equal_the_scalar_reference(kind):
     assert all(type(v) is float for v in margins)
     assert margins == pytest.approx([1.0 - v for v in want], abs=1e-12)
     assert nmi(y_star, labels[0]) == pytest.approx(nmi_reference(y_star, labels[0]), abs=1e-14)
-    scorer = SwapMargins(y_star)
-    for row, other in zip(labels, np.roll(labels, 1, axis=0)):
+    classes = dense(y_star)
+    k = int(classes.max()) + 1
+    scorer = SwapMargins(classes)
+    folded = np.stack([dense(row) % k for row in labels])
+    for row, other in zip(folded, np.roll(folded, 1, axis=0)):
         takes = row == row[0]
-        got = scorer(np.where(takes, other, row), row[0], takes[None])
+        base = np.where(takes, np.where(other == row[0], k, other), row)
+        got = scorer(base, row[0], takes[None])
         assert got.tolist() == [margin(row, y_star)]
 
 
@@ -227,18 +262,18 @@ def test_batched_margin_edge_shapes():
     """One-class ``y_star``, one point and no rows; ``margin`` rejects
     labels that are not two nonempty vectors of one length."""
     one_class = np.array([4, 4, 4, 4])
-    base = np.array([1, 1, 2, 2])
+    base = np.array([1, 1, 1, 1])  # no medoid serves any point
     takes = np.array([[True] * 4, [False] * 4, [True, True, False, False]])
-    got = SwapMargins(one_class)(base, 7, takes)
-    want = [margin(row, one_class) for row in np.where(takes, 7, base)]
-    assert got.tolist() == want == [0.0, 1.0, 1.0]
+    got = SwapMargins(dense(one_class))(base, 0, takes)
+    want = [margin(row, one_class) for row in np.where(takes, 0, base)]
+    assert got.tolist() == want == [0.0, 0.0, 1.0]
     three = np.array([0, 1, 1])
-    assert SwapMargins(three)(np.array([2, 5, 5]), 5, np.zeros((1, 3), bool)).tolist() == [0.0]
-    assert SwapMargins(np.array([9]))(np.array([2]), 3, np.array([[True], [False]])).tolist() == [
+    assert SwapMargins(three)(np.array([2, 0, 0]), 1, np.zeros((1, 3), bool)).tolist() == [0.0]
+    assert SwapMargins(np.array([0]))(np.array([1]), 0, np.array([[True], [False]])).tolist() == [
         0.0,
         0.0,
     ]
-    assert SwapMargins(three)(three, 1, np.zeros((0, 3), bool)).shape == (0,)
+    assert SwapMargins(three)(np.array([0, 2, 2]), 1, np.zeros((0, 3), bool)).shape == (0,)
     for y, y_star in [
         (np.zeros(3, dtype=int), np.zeros(4, dtype=int)),
         (np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int)),
@@ -249,8 +284,9 @@ def test_batched_margin_edge_shapes():
 
 
 def test_large_label_ids_match_dense_ids():
-    """Ids near +-2**40 give the bits dense ids give, without a table sized
-    by the largest id."""
+    """Ids near +-2**40 give ``nmi``, ``margin`` and ``same_partition`` the
+    bits dense ids give, without a table sized by the largest id.
+    ``SwapMargins`` takes inference's dense labels only."""
     y1 = np.array([0, 0, 1, 2, 2, 2, 1])
     y2 = np.array([1, 0, 0, 1, 2, 2, 2])
     big1 = np.array([-(2**40), 2**40])[np.minimum(y1, 1)] + y1
@@ -259,10 +295,6 @@ def test_large_label_ids_match_dense_ids():
     assert nmi(big1, y2) == nmi(y1, y2)
     assert margin(big1, big2) == margin(y1, y2)
     assert same_partition(big1, y1) and not same_partition(big1, big2)
-    takes = np.stack([y1 == 2, y2 == 0, np.zeros(7, dtype=bool), y1 < 2])
-    for pos, big_pos in [(0, -(2**40)), (2, 2**40 + 2), (5, 2**40 + 5)]:
-        want = SwapMargins(y2)(y1, pos, takes).tolist()
-        assert SwapMargins(big2)(big1, big_pos, takes).tolist() == want
 
 
 def test_recall_at_k_separated_clusters():
