@@ -1,6 +1,6 @@
 """Medoid scoring: facility location objective, nearest-medoid assignment,
-and the per-class oracle score, plus the one class-label check that the
-oracle and every inference routine share.
+and the per-class oracle score, plus the one distance-matrix check and the
+one class-label check that the oracle and every inference routine share.
 
 All functions take a precomputed square distance matrix so that inference
 loops, which evaluate the objective many times per batch, never recompute
@@ -31,6 +31,20 @@ def _check_medoids(dist: np.ndarray, medoids: Sequence[int]) -> np.ndarray:
     if len(set(s.tolist())) != s.size:
         raise InvalidInputError("medoid indices must be distinct")
     return s
+
+
+def _check_dist(dist: np.ndarray) -> float:
+    """Reject a distance matrix that is not square, is empty or holds nan,
+    on which ``assign``'s ``argmin`` and inference's serving rule would
+    disagree and a maximum over scores would depend on their order.
+    Returns its least entry."""
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
+        raise InvalidInputError(f"distance matrix must be square and nonempty, got {dist.shape}")
+    # one pass, and no m x m temporary: the minimum is nan if any entry is
+    least = float(dist.min())
+    if np.isnan(least):
+        raise InvalidInputError("distance matrix holds nan")
+    return least
 
 
 def _check_labels(y_star: np.ndarray, m: int) -> tuple[np.ndarray, int]:
@@ -75,9 +89,11 @@ def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int
     the chosen medoid per class in class-id order; the medoids are needed
     again by the gradient.
     ``y_star`` must hold one integer class id per point, dense 0..K-1 with
-    each id present: ``_check_labels``, the check inference makes, raises
+    each id present, and ``dist`` must be square, nonempty and free of nan:
+    ``_check_labels`` and ``_check_dist``, the checks inference makes, raise
     ``InvalidInputError`` for anything else.
     """
+    _check_dist(dist)
     y_star, num_classes = _check_labels(y_star, len(dist))
     # each row's sum over its own class, taken down the columns of the
     # transpose: axis 0 adds point by point, where axis 1 would add pairwise.

@@ -16,32 +16,47 @@ The distance matrix is read in one orientation, as in ``facility``:
 is scored from its contiguous row ``D[cands]``. Nothing here needs the
 matrix to be symmetric, only square, nonempty and free of nan.
 
-Costs (m points, C medoids, K classes): every greedy step and every medoid
-position of a refinement sweep scores n <= m candidates, reading their
-rows. Which medoid serves a point follows one rule, ``_serves``: the
+Costs (m points, C medoids, K classes): every greedy step scores n <= m
+candidates, reading their rows. A refinement sweep scores its positions
+in segments: positions k..C-1 together, against the medoid set as it
+stands. The first of them whose best candidate is not its medoid
+installs that candidate, and the positions after it are scored again as
+the next segment. Positions are still decided one at a time, in order,
+against the current set, so medoids, traces and ties are those of
+scoring one position at a time. A segment's positions go to the scoring
+calls whole, each call taking positions until its rows reach m: one call
+per segment in the within-cluster pool, whose candidates are about the m
+points. Few positions install a swap (74 of 2,097 margin-scored
+positions in a 40-iteration training run at m = 128, C = 32), so a sweep
+makes about one call plus one per swap, not one per position: 3.75
+margin calls per training step in that run, where one per position made
+53.
+Which medoid serves a point follows one rule, ``_serves``: the
 nearer, ties to the smaller position. Each point's nearest other medoid
 comes from the caller: greedy keeps each point's nearest chosen medoid as
 running state, O(m) per step, and refinement reads it from a table of
 each point's two nearest medoids (``_two_nearest``), O(m) per position.
-The table is built, O(m * C log C), when a position first needs it (with
+The table is built, O(m * C log C), when a segment first needs it (with
 the margin, or in the whole-batch pool) and again only after a swap is
 installed, so the within-cluster refinement at gamma = 0 never builds it.
-Few positions install a swap (74 of 2,097 margin-scored positions in a
-40-iteration training run at m = 128, C = 32), so the table is rebuilt
-rather than updated point by point. Without the margin a scored
-candidate costs one row, O(m); the within-cluster refinement at
-gamma = 0 scores its members' submatrix and reads no rows. With the
-margin, a step or position finds which points each candidate takes from
-the other medoids, an (n, m) mask, and scores the margins with one
-``SwapMargins`` call (built once per greedy or refinement call). Its
+Since few positions install a swap, the table is rebuilt rather than
+updated point by point. Without the margin a scored candidate costs one
+row, O(m); the within-cluster refinement scores each candidate over its
+cluster's points only, from costs summed once per sweep in ascending
+point order (``_cluster_costs``, O(sum of squared cluster sizes)), and
+at gamma = 0 reads no rows. With the margin, a step or call
+finds which points each candidate takes from the other medoids, an
+(n, m) mask, and scores the margins with one ``SwapMargins`` call (built
+once per greedy or refinement call), one row group per position. Its
 labels are positions: 0..C-1 for the medoids and C (= K) for no medoid,
 at cost inf, as in ``_two_nearest``; greedy starts every point there,
 so no point's base label is the position being scored. That call counts
-only the points a candidate moves: O(m log m + K * K + moves + n * K)
-beyond the mask, with no n * K * K table. Its sums of
-x ln x are exact integers in fixed point, so every candidate's margin
+only the points a candidate moves: O(G * (m + K * K) + moves log moves
++ n * K) beyond the mask for G positions, with no n * K * K table. Its
+sums of x ln x are exact integers in fixed point, so every candidate's margin
 has the bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``,
-the held-out metric), and maxima and ties are the scalar ones. Greedy at gamma = 0 on a nonnegative matrix (every
+the held-out metric), and maxima and ties are the scalar ones. Greedy at
+gamma = 0 on a nonnegative matrix (every
 ``pairwise_distances`` matrix) is lazy (Minoux 1978): A is then monotone
 submodular, so a candidate's gain A(S + {i}) - A(S) from the step that
 last scored it bounds its gain now. Steps 0 and 1 score every candidate;
@@ -57,8 +72,8 @@ the smallest index with the best score, so medoids, ties and traces are
 those of full scoring. On held-out blobs at m = 1,280, C = 32 this scores
 about 6,100 of the 40,464 candidate rows. With the margin A is not
 submodular, and every step scores every candidate in one call, as does
-every step on a matrix with a negative entry. Greedy makes C steps and a
-sweep at most C positions.
+every step on a matrix with a negative entry. Greedy makes C steps; a
+sweep scores at most C positions, in one segment plus one per swap.
 Each medoid set is labelled once: refinement starts from the labels and
 A(S) of its seed, and after each sweep that changes the set makes one
 ``label_medoids`` call (one ``assign``, and one ``margin`` if gamma !=
@@ -71,12 +86,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 from itertools import combinations
-from typing import Literal, Sequence, get_args
+from typing import Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError
-from .facility import _check_labels, assign
+from .facility import _check_dist, _check_labels, assign
 from .metrics import SwapMargins, margin
 
 # Exhaustive search refuses instances with more candidate subsets than this.
@@ -126,19 +141,6 @@ def label_medoids(
     )
 
 
-def _check_dist(dist: np.ndarray) -> float:
-    """Reject a distance matrix that is not square, is empty or holds nan
-    (which ``_serves`` and ``assign``'s ``argmin`` would serve differently).
-    Returns its least entry."""
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
-        raise InvalidInputError(f"distance matrix must be square and nonempty, got {dist.shape}")
-    # one pass, and no m x m temporary: the minimum is nan if any entry is
-    least = float(dist.min())
-    if np.isnan(least):
-        raise InvalidInputError("distance matrix holds nan")
-    return least
-
-
 def _serves(cost: np.ndarray, pos: int, other_cost: np.ndarray, other_pos: np.ndarray) -> np.ndarray:
     """The serving rule of ``assign``: where a medoid at position ``pos``
     serving at ``cost`` beats one at ``other_pos`` serving at
@@ -159,35 +161,77 @@ def _swap_scores(
     dist: np.ndarray,
     gamma: float,
     margins: SwapMargins | None,
-    pos: int,
     cands: np.ndarray,
+    group: np.ndarray,
+    pos: np.ndarray,
     other_min: np.ndarray | None,
     other_pos: np.ndarray | None,
     facility: np.ndarray | None = None,
 ) -> np.ndarray:
-    """A(S) for each medoid set S that puts one of ``cands`` at position
-    ``pos`` of a medoid set whose other medoids serve each point at
-    distance ``other_min`` from position ``other_pos``.
+    """A(S) for each medoid set S that puts candidate ``cands[r]`` at
+    position ``pos[g]``, g = ``group[r]``, of a medoid set whose other
+    medoids serve each point at distance ``other_min[g]`` from position
+    ``other_pos[g]``. A group is one scored position: ``pos`` is (G,) and
+    the other medoids' rows are (G, m).
 
     Labels follow ``assign``, through ``_serves``.
-    ``margins`` scores against the true classes when gamma != 0.
+    ``margins`` scores against the true classes when gamma != 0, all
+    groups in one call.
     ``facility`` replaces the exact facility part, one value per candidate;
     given it at gamma = 0, the call returns it and the other medoids may be
     None.
     """
     if facility is not None and gamma == 0.0:
         return facility
+    # one group's rows broadcast over the candidates; several are read per row
+    per_row = group if len(pos) > 1 else slice(None)
+    near_min = other_min[per_row]
     # row c holds the cost of serving each point from candidate c
     cand_dist = dist[cands]
     if gamma != 0.0:
         # the points each candidate takes from the other medoids
-        takes = _serves(cand_dist, pos, other_min, other_pos)
+        takes = _serves(cand_dist, pos[per_row, None], near_min, other_pos[per_row])
     if facility is None:
         # in place: ``takes`` above was the last reader of the raw rows
-        facility = -np.minimum(cand_dist, other_min, out=cand_dist).sum(axis=1)
+        facility = -np.minimum(cand_dist, near_min, out=cand_dist).sum(axis=1)
     if gamma == 0.0:
         return facility
-    return facility + gamma * margins(other_pos, pos, takes)
+    return facility + gamma * margins(other_pos, pos, takes, group)
+
+
+def _cluster_costs(dist: np.ndarray, assignment: np.ndarray, medoids: list[int]) -> np.ndarray:
+    """The within-cluster costs of the refinement's cluster pool under
+    ``assignment``: each point's summed cost ``dist[c, i]`` of serving the
+    points i of its own cluster, then each medoid's of serving its
+    position's cluster. ``bincount`` adds the points one by one in
+    ascending order, starting from 0.0, as numpy's column sum
+    ``dist.T[np.ix_(cluster, cands)].sum(axis=0)`` does, so every sum has
+    its bits, signed zeros included."""
+    m, num_classes = len(dist), len(medoids)
+    sizes = np.bincount(assignment, minlength=num_classes)
+    # the clusters' points, ascending within each cluster, from ``starts``
+    members = np.argsort(assignment, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    cand_pos = np.concatenate([assignment, np.arange(num_classes)])
+    cands = np.concatenate([np.arange(m), medoids])
+    size = sizes[cand_pos]
+    pair = np.repeat(np.arange(cands.size), size)
+    # each pair's point: its cluster's start plus its rank among its pairs
+    first = np.repeat(starts[cand_pos] - (np.cumsum(size) - size), size)
+    point = members[first + np.arange(pair.size)]
+    # dist[cand, point] through the flat index of the row-major matrix
+    cost = np.take(dist, np.repeat(cands * m, size) + point)
+    return np.bincount(pair, weights=cost, minlength=cands.size)
+
+
+def _group_argmax(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Per group of consecutive ``scores`` (``group`` ascending from 0,
+    each group present), the index of the group's maximum as ``np.argmax``
+    takes it: the first of equal maxima, or the first nan."""
+    starts = np.searchsorted(group, np.arange(group[-1] + 1))
+    top = np.maximum.reduceat(scores, starts)
+    hit = (scores == top[group]) | np.isnan(scores)
+    return np.minimum.reduceat(np.where(hit, np.arange(scores.size), scores.size), starts)
 
 
 def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> InferenceResult:
@@ -215,6 +259,14 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     # the slack
     lazy_ok = gamma == 0.0 and least >= 0
     margins = SwapMargins(y_star) if gamma != 0.0 else None
+
+    def score(block: np.ndarray) -> np.ndarray:
+        # a step scores one group: position ``step`` against the running state
+        return _swap_scores(
+            dist, gamma, margins, block, np.zeros(block.size, dtype=np.intp), np.array([step]),
+            best_dist[None], best_pos[None],
+        )
+
     for step in range(num_classes):
         cands = np.delete(np.arange(m), chosen)
         # gains exist from step 1 on, and only while A(S) is finite: a gain
@@ -225,13 +277,13 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         lazy = bounded and step > 1
         order = cands[np.argsort(-gain[cands], kind="stable")] if lazy else cands
         hi = LAZY_BLOCK_ROWS if lazy else len(order)
-        scores = _swap_scores(dist, gamma, margins, step, order[:hi], best_dist, best_pos)
+        scores = score(order[:hi])
         best = int(np.argmax(scores))
         top = float(scores[best])
         # score on while the next bound reaches the best score less the slack
         while hi < len(order) and trace[-1] + gain[order[hi]] >= top - slack:
             block = order[hi : hi + LAZY_BLOCK_ROWS]
-            block_scores = _swap_scores(dist, gamma, margins, step, block, best_dist, best_pos)
+            block_scores = score(block)
             scores = np.concatenate([scores, block_scores])
             top = max(top, float(block_scores.max()))
             hi += LAZY_BLOCK_ROWS
@@ -249,6 +301,69 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     return InferenceResult(
         medoids=tuple(chosen), assignment=best_pos, objective=trace[-1], trace=trace
     )
+
+
+def _scoring_calls(
+    assignment: np.ndarray, medoids: list[int], first: int, candidate_pool: CandidatePool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The scoring calls of positions ``first``..K-1 against ``medoids`` as
+    they stand: (positions, the group of each candidate, candidates) per
+    call, grouped by position and ascending within one. A call takes whole
+    positions until its rows reach m. A position's candidates are its pool
+    (the members of its cluster under ``assignment``, or the whole batch),
+    plus its own medoid, less the other positions' medoids; a position
+    whose only candidate is its own medoid is left out."""
+    ks = np.arange(first, len(medoids))
+    if candidate_pool == "cluster":
+        is_cand = assignment == ks[:, None]
+    else:
+        is_cand = np.ones((ks.size, assignment.size), dtype=bool)
+    is_cand[:, medoids] = False
+    is_cand[np.arange(ks.size), medoids[first:]] = True
+    scored = np.count_nonzero(is_cand, axis=1) > 1
+    ks = ks[scored]
+    group, cands = np.nonzero(is_cand[scored])
+    # the rows through each position
+    through = np.cumsum(np.bincount(group, minlength=ks.size))
+    lo = done = 0
+    while lo < ks.size:
+        hi = min(int(np.searchsorted(through, done + assignment.size)) + 1, ks.size)
+        rows = slice(done, through[hi - 1])
+        yield ks[lo:hi], group[rows] - lo, cands[rows]
+        lo, done = hi, through[hi - 1]
+
+
+def _best_candidates(
+    dist: np.ndarray,
+    gamma: float,
+    margins: SwapMargins | None,
+    medoids: list[int],
+    nearest: tuple[np.ndarray, np.ndarray] | None,
+    within: np.ndarray | None,
+    ks: np.ndarray,
+    group: np.ndarray,
+    cands: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """The best candidate of each position ``ks[g]`` among its ``cands``
+    rows (``group`` g), ties to the smallest index, in one scoring call.
+    In the within-cluster pool ``within`` holds each point's cost of
+    serving its frozen cluster and then each position's medoid's, and in
+    the whole-batch pool it is None. Returns the picks and ``nearest``,
+    the two-nearest table of ``medoids``, built here if the scores need it
+    and it is None."""
+    surrogate = other_min = other_pos = None
+    if within is not None:
+        # a candidate is a point of its position's cluster or that position's medoid
+        pos = ks[group]
+        own = cands == np.asarray(medoids)[pos]
+        surrogate = -np.where(own, within[len(dist) + pos], within[cands])
+    if surrogate is None or gamma != 0.0:  # else the surrogate is the score
+        nearest = nearest or _two_nearest(dist, medoids)
+        # the nearest other medoid: level 1 where level 0 is the position
+        own = nearest[1][0] == ks[:, None]
+        other_min, other_pos = (np.where(own, level[1], level[0]) for level in nearest)
+    scores = _swap_scores(dist, gamma, margins, cands, group, ks, other_min, other_pos, surrogate)
+    return cands[_group_argmax(scores, group)], nearest
 
 
 def _check_refine_args(max_sweeps: int, candidate_pool: CandidatePool) -> None:
@@ -277,6 +392,13 @@ def pam_refine(
     own medoid keeps it and is not scored. Otherwise the best candidate is
     installed in place, ties to the smallest index. Sweeps stop early once
     one of them changes nothing.
+
+    A sweep scores the positions from its start, or from just after the
+    last installed swap, in one batch against the set as it stands, and
+    installs the first pick that is not its position's medoid; positions
+    before it kept their medoids, so the result is that of visiting the
+    positions one at a time. Each batch is scored in calls of whole
+    positions that stop once their rows reach m.
 
     With the default ``candidate_pool="cluster"``, the pool is the current
     members of cluster k under the assignment frozen at the start of the
@@ -319,28 +441,28 @@ def pam_refine(
     trace: list[float] = []
     for _ in range(max_sweeps):
         changed = False
-        for k in range(num_classes):
-            # the pool and the own medoid, less the other positions' medoids
-            is_cand = current.assignment == k if candidate_pool == "cluster" else np.ones(m, bool)
-            is_cand[medoids] = False
-            is_cand[medoids[k]] = True
-            cands = np.flatnonzero(is_cand)
-            if cands.size == 1:  # only the own medoid, which it keeps
-                continue
-            surrogate = other_min = other_pos = None
-            if candidate_pool == "cluster":
-                surrogate = -dist.T[np.ix_(current.assignment == k, cands)].sum(axis=0)
-            if surrogate is None or gamma != 0.0:  # else the surrogate is the score
-                nearest = nearest or _two_nearest(dist, medoids)
-                # the nearest other medoid: level 1 where level 0 is position k
-                own = nearest[1][0] == k
-                other_min, other_pos = (np.where(own, level[1], level[0]) for level in nearest)
-            scores = _swap_scores(dist, gamma, margins, k, cands, other_min, other_pos, surrogate)
-            pick = int(cands[int(np.argmax(scores))])
-            if pick != medoids[k]:
-                medoids[k] = pick
-                changed = True
-                nearest = None
+        # the within-cluster costs under the frozen assignment, once per
+        # sweep: a medoid keeps its position until that position is scored
+        within = None
+        if candidate_pool == "cluster":
+            within = _cluster_costs(dist, current.assignment, medoids)
+        # score positions ``first``.. against the set as it stands, install
+        # the first pick that is not its position's medoid, and score the
+        # positions after it again
+        first = 0
+        while first < num_classes:
+            calls = _scoring_calls(current.assignment, medoids, first, candidate_pool)
+            first = num_classes
+            for ks, group, cands in calls:
+                picks, nearest = _best_candidates(
+                    dist, gamma, margins, medoids, nearest, within, ks, group, cands
+                )
+                swapped = np.flatnonzero(picks != np.asarray(medoids)[ks])
+                if swapped.size:
+                    k = int(ks[swapped[0]])
+                    medoids[k] = int(picks[swapped[0]])
+                    changed, nearest, first = True, None, k + 1
+                    break
         if changed:
             current = label_medoids(dist, medoids, y_star, gamma)
         trace.append(current.objective)
@@ -368,6 +490,7 @@ def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) ->
     subsets. Ties resolve to the lexicographically smallest index tuple,
     which is the enumeration order of ``itertools.combinations``.
     """
+    _check_dist(dist)
     m = dist.shape[0]
     y_star, num_classes = _check_labels(y_star, m)
     if comb(m, num_classes) > BRUTE_FORCE_CAP:

@@ -141,12 +141,14 @@ class SwapMargins:
     Labels are inference's, not any integers: ``y_star`` holds classes
     0..K-1, each present, as ``facility._check_labels`` returns them, and
     a base label is a medoid position 0..K-1, or K for a point that no
-    medoid serves yet. So the joint table is (K + 1) x K, sized here, and
-    no id is relabelled.
+    medoid serves yet. So each base's joint table is (K + 1) x K, and no
+    id is relabelled.
 
-    A call costs O(n * m) to find the moved points and O(m log m + K * K
-    + moves + n * K) to count them, for n rows; no n * K * K table is
-    built.
+    One call scores rows of several groups, each with its own base and
+    target position: greedy's step is one group, and a refinement sweep
+    passes one group per medoid position. A call costs O(n * m) to find
+    the moved points and O(G * m + G * K * K + moves log moves + n * K)
+    to count them, for n rows in G groups; no n * K * K table is built.
     """
 
     def __init__(self, y_star: np.ndarray) -> None:
@@ -156,52 +158,64 @@ class SwapMargins:
         self.xlogx = _xlogx_table(self.truth.size)
         self.s_classes = self.xlogx[classes].sum()
 
-    def __call__(self, base: np.ndarray, pos: int, takes: np.ndarray) -> np.ndarray:
-        """``margin(np.where(row, pos, base), y_star)`` for every row of the
-        (n, m) bool matrix ``takes``, bit for bit. ``pos`` is a position
-        0..K-1 and no ``base`` label is ``pos``.
+    def __call__(
+        self, base: np.ndarray, pos: np.ndarray, takes: np.ndarray, group: np.ndarray
+    ) -> np.ndarray:
+        """``margin(np.where(takes[r], pos[g], base[g]), y_star)`` with
+        g = ``group[r]``, for every row r of the (n, m) bool matrix
+        ``takes``, bit for bit. ``base`` is (G, m) and ``pos`` (G,); each
+        ``pos[g]`` is a position 0..K-1 and no ``base[g]`` label is it.
 
-        The joint count of the base labels is built once. A row changes it
-        only where it moves points: they leave their (base cluster, class)
-        cells and join the (``pos``, class) cells. The moves are read in
-        cell order, so each touched cell is one run, and the joint sum of
+        Each group's joint count of its base labels is built once. A row
+        changes it only where it moves points: they leave their (base
+        cluster, class) cells and join the (``pos[g]``, class) cells, a
+        cluster its base leaves empty. The moves are sorted by (row, cell),
+        so each touched cell of a row is one run, and the joint sum of
         x ln x changes by the touched cells' terms alone. Cluster sizes and
-        cluster ``pos``'s class counts are (n, K + 1) and (n, K) tables.
+        the joining cluster's class counts are (n, K + 1) and (n, K) tables.
         """
         n, m = takes.shape
-        truth, num_classes, xlogx = self.truth, self.num_classes, self.xlogx
+        num_classes, xlogx = self.num_classes, self.xlogx
         num_ids = num_classes + 1
-        cell = base * num_classes + truth
-        joint = np.bincount(cell, minlength=num_ids * num_classes)
-        # the points in cell order: a row's moves out of one cell are then
-        # one run of its nonzero entries
-        order = np.argsort(cell)
-        rows, at = np.divmod(np.flatnonzero(takes[:, order]), m)
-        moved = order[at]
-        moved_cell = cell[moved]
+        width = num_ids * num_classes
+        cell = base * num_classes + self.truth
+        # each group's cells numbered apart, so one count serves every group
+        joint = np.bincount(
+            (cell + width * np.arange(len(base))[:, None]).ravel(), minlength=len(base) * width
+        ).reshape(-1, width)
+        # each move's (row, cell) key, sorted: a row's moves out of one
+        # cell are then one run
+        at = np.flatnonzero(takes)
+        rows = at // m
+        # the moved point's cell under its row's base: same point, group's row
+        moved_cell = cell.ravel()[at + (group[rows] - rows) * m]
+        key = np.sort(rows * width + moved_cell)
         # the start of each run, and the end of the last
-        edge = np.ones(moved.size + 1, dtype=bool)
-        edge[1:-1] = (rows[1:] != rows[:-1]) | (moved_cell[1:] != moved_cell[:-1])
+        edge = np.ones(key.size + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
         bounds = np.flatnonzero(edge)
         first = bounds[:-1]
-        before = joint[moved_cell[first]]
+        rows, moved_cell = np.divmod(key, width)
+        run_rows = rows[first]
+        before = joint[group[run_rows], moved_cell[first]]
         after = before - (bounds[1:] - first)
         # per row: the drop in the joint sum, the cluster sizes, and the
-        # class counts of cluster ``pos``
+        # class counts of the joining cluster
         drop = np.zeros(n, dtype=np.int64)
-        np.add.at(drop, rows[first], xlogx[before] - xlogx[after])
-        sizes = joint.reshape(num_ids, num_classes).sum(axis=1) - np.bincount(
-            rows * num_ids + base[moved], minlength=n * num_ids
+        np.add.at(drop, run_rows, xlogx[before] - xlogx[after])
+        moved_base, moved_class = np.divmod(moved_cell, num_classes)
+        sizes = joint.reshape(-1, num_ids, num_classes).sum(axis=2)[group] - np.bincount(
+            rows * num_ids + moved_base, minlength=n * num_ids
         ).reshape(n, num_ids)
-        joins = np.bincount(rows * num_classes + truth[moved], minlength=n * num_classes)
+        joins = np.bincount(rows * num_classes + moved_class, minlength=n * num_classes)
         joins = joins.reshape(n, num_classes)
         joined = joins.sum(axis=1)
         return 1.0 - _nmis(
-            xlogx[joint].sum() - drop + xlogx[joins].sum(axis=1),
+            xlogx[joint].sum(axis=1)[group] - drop + xlogx[joins].sum(axis=1),
             xlogx[sizes].sum(axis=1) + xlogx[joined],
             self.s_classes,
-            np.count_nonzero(joint)
-            - np.bincount(rows[first[after == 0]], minlength=n)
+            np.count_nonzero(joint, axis=1)[group]
+            - np.bincount(run_rows[after == 0], minlength=n)
             + (joins > 0).sum(axis=1),
             (sizes > 0).sum(axis=1) + (joined > 0),
             num_classes,

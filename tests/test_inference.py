@@ -10,6 +10,7 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score, oracle_score
 from clusterembed.inference import (
+    _cluster_costs,
     _swap_scores,
     _two_nearest,
     brute_force_inference,
@@ -237,20 +238,24 @@ def test_pam_validation():
 
 def test_inference_rejects_nan_and_empty_distance_matrices():
     """``assign``'s ``argmin`` lets a nan cost serve a point and ``_serves``
-    never does, so greedy, refinement and ``infer`` refuse nan: on 200
-    uniform 8 x 8 matrices with three nan entries each, at gamma 0 and
-    0.5. An empty matrix is refused too."""
+    never does, and a maximum over nan scores depends on their order, so
+    greedy, refinement, ``infer``, brute force and ``oracle_score`` all
+    refuse nan through one check: on 200 uniform 8 x 8 matrices with three
+    nan entries each, at gamma 0 and 0.5. An empty matrix is refused too."""
     rng = np.random.default_rng(8)
     y = np.arange(8) % 3
     for _ in range(200):
         dist = rng.uniform(size=(8, 8))
         dist.flat[rng.choice(64, size=3, replace=False)] = np.nan
+        with pytest.raises(InvalidInputError, match="nan"):
+            oracle_score(dist, y)
         for gamma in (0.0, 0.5):
             seed = label_medoids(dist, (0, 1, 2), y, gamma)
             for run in (
                 lambda: greedy_inference(dist, y, gamma),
                 lambda: pam_refine(dist, y, seed, gamma, 5),
                 lambda: infer(dist, y, gamma, 5, "all"),
+                lambda: brute_force_inference(dist, y, gamma),
             ):
                 with pytest.raises(InvalidInputError, match="nan"):
                     run()
@@ -261,6 +266,10 @@ def test_inference_rejects_nan_and_empty_distance_matrices():
         pam_refine(empty, none, inference.InferenceResult((), none, 0.0), 0.0, 5)
     with pytest.raises(InvalidInputError):
         infer(empty, none, 0.0, 5)
+    with pytest.raises(InvalidInputError):
+        brute_force_inference(empty, none, 0.0)
+    with pytest.raises(InvalidInputError):
+        oracle_score(empty, none)
 
 
 @pytest.mark.parametrize(
@@ -391,14 +400,78 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
         pos = int(rng.integers(0, min(len(medoids) + 1, num_classes)))
         cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
         costs, at = _two_nearest(dist, medoids)
-        nearest = [np.where(at[0] == pos, level[1], level[0]) for level in (costs, at)]
+        nearest = [np.where(at[0] == pos, level[1], level[0])[None] for level in (costs, at)]
+        one = np.zeros(cands.size, dtype=np.intp)
         for gamma in (0.0, 0.5):
             margins = SwapMargins(y) if gamma else None
-            scores = _swap_scores(dist, gamma, margins, pos, cands, *nearest)
+            scores = _swap_scores(dist, gamma, margins, cands, one, np.array([pos]), *nearest)
             for cand, score in zip(cands, scores):
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
                 want = label_medoids(dist, swapped, y, gamma).objective
                 assert score == pytest.approx(want, abs=1e-12), (i, pos, cand)
+
+
+def test_grouped_candidate_scores_equal_one_group_calls():
+    """Scoring every position of a medoid set in one call, as a refinement
+    sweep does, gives each candidate the bits of scoring its position
+    alone, at gamma 0 and 0.5, on Gaussian and integer-tied matrices."""
+    rng = np.random.default_rng(47)
+    for i in range(60):
+        m = int(rng.integers(6, 16))
+        dist, y = random_instance(rng, m=m, max_classes=4)
+        if i % 2:
+            dist = pairwise_distances(EmbeddingBatch(rng.integers(0, 3, size=(m, 2)) * 1.0))
+        num_classes = int(y.max()) + 1
+        medoids = [int(v) for v in rng.permutation(m)[:num_classes]]
+        costs, at = _two_nearest(dist, medoids)
+        ks = np.arange(num_classes)
+        other_min, other_pos = (np.where(at[0] == ks[:, None], lv[1], lv[0]) for lv in (costs, at))
+        is_cand = np.ones((num_classes, m), dtype=bool)
+        is_cand[:, medoids] = False
+        is_cand[ks, medoids] = True
+        group, cands = np.nonzero(is_cand)
+        for gamma in (0.0, 0.5):
+            margins = SwapMargins(y) if gamma else None
+            got = _swap_scores(dist, gamma, margins, cands, group, ks, other_min, other_pos)
+            for k in ks:
+                rows = group == k
+                want = _swap_scores(
+                    dist, gamma, margins, cands[rows], np.zeros(rows.sum(), dtype=np.intp),
+                    ks[k : k + 1], other_min[k : k + 1], other_pos[k : k + 1],
+                )
+                assert got[rows].tolist() == want.tolist(), (i, k, gamma)
+
+
+def test_within_cluster_costs_add_points_as_each_position_adds_them():
+    """The within-cluster costs of every point and medoid, computed
+    together, have the bits of each position's column sum
+    ``dist.T[np.ix_(cluster, cands)].sum(axis=0)`` over its cluster's
+    points and its medoid, signed zeros included. On entries of
+    +-2^30..2^49 by the parity of i + j plus small parts, any other order
+    of a cluster's points changes some sums; entries of +-0.0 check the
+    sign of zero sums. Medoids need not lie in their own clusters."""
+    rng = np.random.default_rng(48)
+    for i in range(200):
+        m = int(rng.integers(2, 60))
+        idx = np.arange(m)
+        if i % 4 == 3:
+            dist = np.where(rng.random((m, m)) < 0.5, -0.0, 0.0)
+        else:
+            sign = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
+            dist = sign * 2.0 ** int(rng.integers(30, 50)) + rng.uniform(0.0, 3.0, size=(m, m))
+        num_classes = int(rng.integers(1, min(m, 5) + 1))
+        assignment = rng.integers(0, num_classes, size=m)
+        medoids = [int(v) for v in rng.permutation(m)[:num_classes]]
+        got = _cluster_costs(dist, assignment, medoids)
+        for k in range(num_classes):
+            # as a position scores them: two or more candidates
+            cands = np.union1d(np.flatnonzero(assignment == k), [medoids[k]])
+            if cands.size < 2:
+                continue
+            want = dist.T[np.ix_(assignment == k, cands)].sum(axis=0)
+            mine = np.where(cands == medoids[k], got[m + k], got[cands])
+            assert np.array_equal(mine, want), (i, k)
+            assert np.array_equal(np.signbit(mine), np.signbit(want)), (i, k)
 
 
 ASYMMETRIC_KINDS = ["nonnegative", "rounded", "negative", "inf-block"]
@@ -587,9 +660,9 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     dist = pairwise_distances(EmbeddingBatch(emb))
     rows = []
 
-    def counted(dist, gamma, margins, pos, cands, *rest):
+    def counted(dist, gamma, margins, cands, *rest):
         rows.append(len(cands))
-        return _swap_scores(dist, gamma, margins, pos, cands, *rest)
+        return _swap_scores(dist, gamma, margins, cands, *rest)
 
     monkeypatch.setattr(inference, "_swap_scores", counted)
     greedy_inference(dist, y, 0.0)
@@ -602,25 +675,74 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     assert rows == list(range(129, 129 - 32, -1))
 
 
+def test_refinement_scores_each_segment_of_a_sweep_in_one_margin_call():
+    """On paper-sized batches (m = 128, 32 classes, gamma 1, cluster pool)
+    a sweep scores the positions from its start, or from just after an
+    installed swap, in one ``SwapMargins`` call: the positions' candidates
+    are their clusters' points, at most m rows. So a refinement makes at
+    most (sweeps + installed swaps) calls, where one call per scored
+    position made up to 32 per sweep. Blobs at two separations, so that
+    some refinements install many swaps."""
+    score = SwapMargins.__call__
+    rows = []
+
+    def counted(self, *args):
+        rows.append(len(args[2]))
+        return score(self, *args)
+
+    calls = sweeps = 0
+    for seed in range(6):
+        rng = np.random.default_rng(128 + seed)
+        y = rng.permutation(np.arange(128) % 32)
+        emb = (3.0, 1.0)[seed % 2] * rng.normal(size=(32, 16))[y] + rng.normal(size=(128, 16))
+        dist = pairwise_distances(EmbeddingBatch(emb))
+        greedy = greedy_inference(dist, y, 1.0)
+        rows.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SwapMargins, "__call__", counted)
+            refined = pam_refine(dist, y, greedy, 1.0, 5)
+        # the set after each sweep, from runs cut after 1, 2, ... sweeps;
+        # a sweep installs at most one swap per position
+        sets = [greedy.medoids] + [
+            pam_refine(dist, y, greedy, 1.0, s).medoids for s in range(1, len(refined.trace) + 1)
+        ]
+        installed = sum(sum(a != b for a, b in zip(*pair)) for pair in itertools.pairwise(sets))
+        assert 0 < len(rows) <= len(refined.trace) + installed, (seed, rows, installed)
+        assert max(rows) <= 128, (seed, rows)
+        calls += len(rows)
+        sweeps += len(refined.trace)
+    assert calls < 32 * sweeps / 5
+
+
 MATRIX_KINDS = [
-    "gaussian", "integer-tied", "rounded-asymmetric", "inf-block", "negative", "positive-diagonal"
+    "gaussian", "integer-tied", "rounded-asymmetric", "inf-block", "negative", "positive-diagonal",
+    "cancelling",
 ]
 
 
 @st.composite
 def square_instances(draw):
-    """A square matrix of one of six kinds and dense labels, where the
+    """A square matrix of one of seven kinds and dense labels, where the
     last class may hold one point: Gaussian or integer-grid embeddings
     (distances, with exact ties on the grid), asymmetric integer entries,
     an asymmetric block at inf distance, asymmetric entries of either
-    sign, or symmetric positive entries, diagonal included, so that a
-    medoid need not belong to its own cluster."""
+    sign, symmetric positive entries, diagonal included, so that a
+    medoid need not belong to its own cluster, or entries of +-2^30..2^49
+    by the parity of i + j plus small asymmetric parts. On the last kind
+    sums cancel far below their terms and round to a coarse grid, so the
+    order in which a facility score adds its points decides picks."""
     kind = draw(st.sampled_from(MATRIX_KINDS))
     m = draw(st.integers(2, 14))
     if kind in ("gaussian", "integer-tied"):
         coords = st.floats(-3.0, 3.0) if kind == "gaussian" else st.integers(-2, 2)
         emb = np.array(draw(st.lists(coords, min_size=2 * m, max_size=2 * m)), float)
         dist = pairwise_distances(EmbeddingBatch(emb.reshape(m, 2)))
+    elif kind == "cancelling":
+        big = 2.0 ** draw(st.integers(30, 49))
+        small = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=m * m, max_size=m * m)))
+        idx = np.arange(m)
+        sign = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
+        dist = sign * big + small.reshape(m, m)
     else:
         entries = {
             "rounded-asymmetric": st.integers(0, 3),
@@ -645,16 +767,20 @@ def square_instances(draw):
 
 def contract_checked(call):
     """``SwapMargins.__call__`` that first asserts the labels inference
-    must pass it: dense classes 0..K-1, a position ``pos`` below K, and
-    one base label per point in 0..K (K: no medoid), none of them ``pos``."""
+    must pass it: dense classes 0..K-1, and per group of rows a position
+    ``pos[g]`` below K and one base label per point in 0..K (K: no
+    medoid), none of them ``pos[g]``. Every row belongs to a group."""
 
-    def checked(margins, base, pos, takes):
+    def checked(margins, base, pos, takes, group):
         k = margins.num_classes
         assert np.array_equal(np.unique(margins.truth), np.arange(k))
-        assert 0 <= pos < k and base.dtype.kind == "i" and base.shape == takes.shape[1:]
-        assert ((0 <= base) & (base <= k) & (base != pos)).all(), (base, pos)
+        assert base.dtype.kind == "i" and base.shape == (len(pos), takes.shape[1])
+        assert group.shape == takes.shape[:1] and ((0 <= group) & (group < len(pos))).all()
+        for g, p in enumerate(pos):
+            assert 0 <= p < k, (pos, g)
+            assert ((0 <= base[g]) & (base[g] <= k) & (base[g] != p)).all(), (base[g], p)
         checked.calls += 1
-        return call(margins, base, pos, takes)
+        return call(margins, base, pos, takes, group)
 
     checked.calls = 0
     return checked

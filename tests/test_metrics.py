@@ -24,6 +24,12 @@ def dense(y):
     return inv
 
 
+def one_group(scorer, base, pos, takes):
+    """``SwapMargins`` rows of one group: each moves points of ``base``
+    into position ``pos``, as a greedy step scores them."""
+    return scorer(base[None], np.array([pos]), takes, np.zeros(len(takes), dtype=np.intp))
+
+
 def test_same_partition():
     assert same_partition([0, 0, 1, 1], [1, 1, 0, 0])
     assert same_partition([0, 1, 2], [5, 3, 9])
@@ -160,12 +166,12 @@ def test_batched_margin_matches_scalar_margin():
         scorer = SwapMargins(y_star)
         rows = np.where(takes, pos, base)
         want = [margin(row, y_star) for row in rows]
-        assert scorer(base, pos, takes).tolist() == want, trial
+        assert one_group(scorer, base, pos, takes).tolist() == want, trial
         assert want == pytest.approx([1.0 - nmi_reference(r, y_star) for r in rows], abs=1e-12)
         # a copy of y_star under other base labels, as is and with one whole class moved to pos
         copy = rng.permutation(others)[y_star]
         whole = np.stack([np.zeros(m, dtype=bool), y_star == y_star[-1]])
-        assert scorer(copy, pos, whole).tolist() == [0.0, 0.0]
+        assert one_group(scorer, copy, pos, whole).tolist() == [0.0, 0.0]
 
 
 @st.composite
@@ -189,8 +195,39 @@ def swap_margin_calls(draw):
 def test_swap_margins_rows_equal_margin_of_materialized_labels(call):
     """Every row has the bits of ``margin`` of the labels it materializes."""
     y_star, base, pos, takes = call
-    got = SwapMargins(y_star)(base, pos, takes).tolist()
+    got = one_group(SwapMargins(y_star), base, pos, takes).tolist()
     assert got == [margin(row, y_star) for row in np.where(takes, pos, base)]
+
+
+@st.composite
+def grouped_swap_margin_calls(draw):
+    """A ``SwapMargins`` call as a refinement sweep makes it: dense classes
+    of m points, and 1 to 4 groups, each with its own position ``pos[g]``
+    below K, its own base of positions 0..K other than ``pos[g]`` and 0 to
+    4 rows of moves. Groups may be empty and rows come in any group order."""
+    m = draw(st.integers(1, 30))
+    y_star = dense(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)))
+    k = int(y_star.max()) + 1
+    pos = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4)))
+    base = np.array(
+        [draw(st.lists(st.sampled_from([q for q in range(k + 1) if q != p]), min_size=m, max_size=m))
+         for p in pos]
+    )
+    group = np.array(draw(st.lists(st.integers(0, len(pos) - 1), max_size=4 * len(pos))), np.intp)
+    takes = draw(st.lists(st.booleans(), min_size=group.size * m, max_size=group.size * m))
+    return y_star, base, pos, np.array(takes, dtype=bool).reshape(group.size, m), group
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(grouped_swap_margin_calls())
+def test_grouped_swap_margins_rows_equal_margin_of_materialized_labels(call):
+    """With several groups in one call, every row has the bits of
+    ``margin`` of the labels it materializes from its own group's base and
+    position."""
+    y_star, base, pos, takes, group = call
+    got = SwapMargins(y_star)(base, pos, takes, group).tolist()
+    rows = np.where(takes, pos[group, None], base[group])
+    assert got == [margin(row, y_star) for row in rows]
 
 
 def nmi_case(kind):
@@ -244,7 +281,7 @@ def test_nmi_and_batched_margin_equal_the_scalar_reference(kind):
     for row, other in zip(folded, np.roll(folded, 1, axis=0)):
         takes = row == row[0]
         base = np.where(takes, np.where(other == row[0], k, other), row)
-        got = scorer(base, row[0], takes[None])
+        got = one_group(scorer, base, row[0], takes[None])
         assert got.tolist() == [margin(row, y_star)]
 
 
@@ -264,16 +301,18 @@ def test_batched_margin_edge_shapes():
     one_class = np.array([4, 4, 4, 4])
     base = np.array([1, 1, 1, 1])  # no medoid serves any point
     takes = np.array([[True] * 4, [False] * 4, [True, True, False, False]])
-    got = SwapMargins(dense(one_class))(base, 0, takes)
+    got = one_group(SwapMargins(dense(one_class)), base, 0, takes)
     want = [margin(row, one_class) for row in np.where(takes, 0, base)]
     assert got.tolist() == want == [0.0, 0.0, 1.0]
     three = np.array([0, 1, 1])
-    assert SwapMargins(three)(np.array([2, 0, 0]), 1, np.zeros((1, 3), bool)).tolist() == [0.0]
-    assert SwapMargins(np.array([0]))(np.array([1]), 0, np.array([[True], [False]])).tolist() == [
+    assert one_group(SwapMargins(three), np.array([2, 0, 0]), 1, np.zeros((1, 3), bool)).tolist() == [
+        0.0
+    ]
+    assert one_group(SwapMargins(np.array([0])), np.array([1]), 0, np.array([[True], [False]])).tolist() == [
         0.0,
         0.0,
     ]
-    assert SwapMargins(three)(np.array([0, 2, 2]), 1, np.zeros((0, 3), bool)).shape == (0,)
+    assert one_group(SwapMargins(three), np.array([0, 2, 2]), 1, np.zeros((0, 3), bool)).shape == (0,)
     for y, y_star in [
         (np.zeros(3, dtype=int), np.zeros(4, dtype=int)),
         (np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int)),
