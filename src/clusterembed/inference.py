@@ -17,9 +17,10 @@ is scored from its contiguous row ``D[cands]``. Nothing here needs the
 matrix to be symmetric, only square, nonempty and free of nan.
 
 Costs (m points, C medoids, K classes): every greedy step scores n <= m
-candidates, reading their rows. A refinement sweep scores its positions
-in segments: positions k..C-1 together, against the medoid set as it
-stands. The first of them whose best candidate is not its medoid
+candidates, reading their rows; with the margin, O(m * m) row sums plus
+O(moves) to refilter its moves (below) per step. A refinement sweep
+scores its positions in segments: positions k..C-1 together, against
+the medoid set as it stands. The first of them whose best candidate is not its medoid
 installs that candidate, and the positions after it are scored again as
 the next segment. Positions are still decided one at a time, in order,
 against the current set, so medoids, traces and ties are those of
@@ -44,17 +45,30 @@ updated point by point. Without the margin a scored candidate costs one
 row, O(m); the within-cluster refinement scores each candidate over its
 cluster's points only, from costs summed once per sweep in ascending
 point order (``_cluster_costs``, O(sum of squared cluster sizes)), and
-at gamma = 0 reads no rows. With the margin, a step or call
-finds which points each candidate takes from the other medoids, an
-(n, m) mask, and scores the margins with one ``SwapMargins`` call (built
-once per greedy or refinement call), one row group per position. Its
-labels are positions: 0..C-1 for the medoids and C (= K) for no medoid,
-at cost inf, as in ``_two_nearest``; greedy starts every point there,
-so no point's base label is the position being scored. That call counts
-only the points a candidate moves: O(G * (m + K * K) + moves log moves
-+ n * K) beyond the mask for G positions, with no n * K * K table. Its
-sums of x ln x are exact integers in fixed point, so every candidate's margin
-has the bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``,
+at gamma = 0 reads no rows. With the margin, a refinement call finds
+the moves, the (candidate, point) pairs where the candidate would take
+the point from the other medoids, from an (n, m) mask; greedy carries
+them from step to step instead. Either scores the margins with one
+``SwapMargins`` call (built once per greedy or refinement call), one row
+group per position, given the moves as flat indices. Its labels are
+positions: 0..C-1 for the medoids and C (= K) for no medoid, at cost
+inf, as in ``_two_nearest``; greedy starts every point there, so no
+point's base label is the position being scored. That call counts only
+the points a candidate moves: O(moves log moves + G * K * K + n * K)
+beyond O(G * m) for the bases of G positions, with no n * K * K table.
+Greedy keeps a move, stored as ``candidate * m + point``, while the
+candidate at the next position would still serve the point. At step 0
+every candidate takes every point, so the step's margins are one
+``margin`` of one cluster and no call. Step 0 puts every point at
+position 0; after it a candidate serves a point only by being strictly
+nearer than the point's nearest chosen medoid, and that distance only
+falls. So the moves are built once after step 0, from ``_serves`` over
+the whole matrix, and each later step keeps those that still serve,
+O(moves); no (n, m) mask is built per step. Its facility part is every
+row's sum of ``min(D[c], nearest chosen cost)``, chosen candidates
+included (they take no point), and the pick is made among the others.
+Every margin's sums of x ln x are exact integers in fixed point, so
+every candidate's margin has the bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``,
 the held-out metric), and maxima and ties are the scalar ones. Greedy at
 gamma = 0 on a nonnegative matrix (every
 ``pairwise_distances`` matrix) is lazy (Minoux 1978): A is then monotone
@@ -71,8 +85,8 @@ scored, each score is the row sum full scoring computes, and the pick is
 the smallest index with the best score, so medoids, ties and traces are
 those of full scoring. On held-out blobs at m = 1,280, C = 32 this scores
 about 6,100 of the 40,464 candidate rows. With the margin A is not
-submodular, and every step scores every candidate in one call, as does
-every step on a matrix with a negative entry. Greedy makes C steps; a
+submodular, and every step scores every candidate, as does every step on
+a matrix with a negative entry. Greedy makes C steps; a
 sweep scores at most C positions, in one segment plus one per swap.
 Each medoid set is labelled once: refinement starts from the labels and
 A(S) of its seed, and after each sweep that changes the set makes one
@@ -196,7 +210,7 @@ def _swap_scores(
         facility = -np.minimum(cand_dist, near_min, out=cand_dist).sum(axis=1)
     if gamma == 0.0:
         return facility
-    return facility + gamma * margins(other_pos, pos, takes, group)
+    return facility + gamma * margins(other_pos, pos, np.flatnonzero(takes), group)
 
 
 def _cluster_costs(dist: np.ndarray, assignment: np.ndarray, medoids: list[int]) -> np.ndarray:
@@ -245,6 +259,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     least = _check_dist(dist)
     m = dist.shape[0]
     y_star, num_classes = _check_labels(y_star, m)
+    _check_gamma(gamma)
 
     chosen: list[int] = []
     trace: list[float] = []
@@ -258,44 +273,75 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     # nonnegative matrix no |A(S)| exceeds the first step's, which sizes
     # the slack
     lazy_ok = gamma == 0.0 and least >= 0
-    margins = SwapMargins(y_star) if gamma != 0.0 else None
+    if gamma != 0.0:
+        margins = SwapMargins(y_star)
+        free = np.ones(m, dtype=bool)
+        # each candidate's cost of serving each point with the chosen medoids
+        cost = np.empty((m, m))
+        # every row's group, and at step 0 every point's label: one cluster
+        zeros = np.zeros(m, dtype=np.intp)
 
     def score(block: np.ndarray) -> np.ndarray:
         # a step scores one group: position ``step`` against the running state
         return _swap_scores(
-            dist, gamma, margins, block, np.zeros(block.size, dtype=np.intp), np.array([step]),
+            dist, gamma, None, block, np.zeros(block.size, dtype=np.intp), np.array([step]),
             best_dist[None], best_pos[None],
         )
 
     for step in range(num_classes):
-        cands = np.delete(np.arange(m), chosen)
-        # gains exist from step 1 on, and only while A(S) is finite: a gain
-        # taken from -inf is inf or nan and bounds nothing
-        bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
-        # from step 2 on, score the highest bound first, stably, so equal
-        # bounds keep index order
-        lazy = bounded and step > 1
-        order = cands[np.argsort(-gain[cands], kind="stable")] if lazy else cands
-        hi = LAZY_BLOCK_ROWS if lazy else len(order)
-        scores = score(order[:hi])
-        best = int(np.argmax(scores))
-        top = float(scores[best])
-        # score on while the next bound reaches the best score less the slack
-        while hi < len(order) and trace[-1] + gain[order[hi]] >= top - slack:
-            block = order[hi : hi + LAZY_BLOCK_ROWS]
-            block_scores = score(block)
-            scores = np.concatenate([scores, block_scores])
-            top = max(top, float(block_scores.max()))
-            hi += LAZY_BLOCK_ROWS
-        # the smallest index with the best score; ``cands`` is ascending
-        pick = int(order[:hi][scores == top].min()) if lazy else int(cands[best])
-        if bounded:
-            gain[order[:hi]] = scores - trace[-1]
+        if gamma != 0.0:
+            # every candidate's row, chosen ones included: they take no
+            # point, and the pick is made among the free ones
+            scores = -np.minimum(dist, best_dist, out=cost).sum(axis=1)
+            if step == 0:
+                # every candidate takes every point
+                scores += gamma * margin(zeros, y_star)
+            else:
+                scores += gamma * margins(best_pos[None], np.array([step]), moves, zeros)
+            cands = np.flatnonzero(free)
+            pick = int(cands[np.argmax(scores[cands])])
+            top = float(scores[pick])
+        else:
+            cands = np.delete(np.arange(m), chosen)
+            # gains exist from step 1 on, and only while A(S) is finite: a
+            # gain taken from -inf is inf or nan and bounds nothing
+            bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
+            # from step 2 on, score the highest bound first, stably, so
+            # equal bounds keep index order
+            lazy = bounded and step > 1
+            order = cands[np.argsort(-gain[cands], kind="stable")] if lazy else cands
+            hi = LAZY_BLOCK_ROWS if lazy else len(order)
+            scores = score(order[:hi])
+            best = int(np.argmax(scores))
+            top = float(scores[best])
+            # score on while the next bound reaches the best score less the slack
+            while hi < len(order) and trace[-1] + gain[order[hi]] >= top - slack:
+                block = order[hi : hi + LAZY_BLOCK_ROWS]
+                block_scores = score(block)
+                scores = np.concatenate([scores, block_scores])
+                top = max(top, float(block_scores.max()))
+                hi += LAZY_BLOCK_ROWS
+            # the smallest index with the best score; ``cands`` is ascending
+            pick = int(order[:hi][scores == top].min()) if lazy else int(cands[best])
+            if bounded:
+                gain[order[:hi]] = scores - trace[-1]
         chosen.append(pick)
         trace.append(top)
         slack = LAZY_SLACK * abs(trace[0])
         best_pos[_serves(dist[pick], step, best_dist, best_pos)] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
+        if gamma != 0.0 and step + 1 < num_classes:
+            free[pick] = False
+            # the moves (candidate c, point i), flat index c * m + i, of
+            # position step + 1. Step 0 put every point at position 0, so
+            # from here on a candidate serves a point only by being nearer,
+            # and best_dist only falls: a move never comes back
+            if step == 0:
+                moves = np.flatnonzero(_serves(dist, 1, best_dist, best_pos))
+            else:
+                point = moves % m
+                keep = _serves(np.take(dist, moves), step + 1, best_dist[point], best_pos[point])
+                moves = moves[keep]
 
     # the running state is ``assign``'s labels and the last score is A(S)
     return InferenceResult(
@@ -366,6 +412,12 @@ def _best_candidates(
     return cands[_group_argmax(scores, group)], nearest
 
 
+def _check_gamma(gamma: float) -> None:
+    # a nan gamma would make every score nan, and the loss's max(0, nan) 0
+    if not (gamma >= 0.0 and np.isfinite(gamma)):
+        raise InvalidInputError(f"gamma must be finite and nonnegative, got {gamma}")
+
+
 def _check_refine_args(max_sweeps: int, candidate_pool: CandidatePool) -> None:
     if max_sweeps < 1:
         raise InvalidInputError("refinement needs at least one sweep")
@@ -433,6 +485,7 @@ def pam_refine(
             f"seed medoid set has size {len(medoids)}, expected {num_classes}"
         )
     _check_refine_args(max_sweeps, candidate_pool)
+    _check_gamma(gamma)
 
     margins = SwapMargins(y_star) if gamma != 0.0 else None
     # the labelled current set, renewed when a sweep changes it, and each
@@ -493,6 +546,7 @@ def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) ->
     _check_dist(dist)
     m = dist.shape[0]
     y_star, num_classes = _check_labels(y_star, m)
+    _check_gamma(gamma)
     if comb(m, num_classes) > BRUTE_FORCE_CAP:
         raise InstanceTooLargeError(
             f"C({m}, {num_classes}) subsets exceed the {BRUTE_FORCE_CAP} enumeration cap"

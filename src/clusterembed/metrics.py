@@ -146,9 +146,11 @@ class SwapMargins:
 
     One call scores rows of several groups, each with its own base and
     target position: greedy's step is one group, and a refinement sweep
-    passes one group per medoid position. A call costs O(n * m) to find
-    the moved points and O(G * m + G * K * K + moves log moves + n * K)
-    to count them, for n rows in G groups; no n * K * K table is built.
+    passes one group per medoid position. A row's moves are the points it
+    takes into its group's position, given as flat indices ``r * m + i``.
+    A call costs O(moves log moves + G * K * K + n * K) for n rows in G
+    groups, beyond O(G * m) to count the bases; no n * K * K table is
+    built.
     """
 
     def __init__(self, y_star: np.ndarray) -> None:
@@ -159,12 +161,15 @@ class SwapMargins:
         self.s_classes = self.xlogx[classes].sum()
 
     def __call__(
-        self, base: np.ndarray, pos: np.ndarray, takes: np.ndarray, group: np.ndarray
+        self, base: np.ndarray, pos: np.ndarray, moves: np.ndarray, group: np.ndarray
     ) -> np.ndarray:
-        """``margin(np.where(takes[r], pos[g], base[g]), y_star)`` with
-        g = ``group[r]``, for every row r of the (n, m) bool matrix
-        ``takes``, bit for bit. ``base`` is (G, m) and ``pos`` (G,); each
-        ``pos[g]`` is a position 0..K-1 and no ``base[g]`` label is it.
+        """``margin(labels_r, y_star)`` bit for bit, for every row r of
+        ``group``: ``labels_r`` is ``base[g]``, g = ``group[r]``, with the
+        points i of the moves ``r * m + i`` moved to ``pos[g]``. ``moves``
+        are distinct flat indices into an (n, m) array, in any order, such as
+        ``np.flatnonzero`` of a bool mask of the points each row takes.
+        ``base`` is (G, m) and ``pos`` (G,); each ``pos[g]`` is a position
+        0..K-1 and no ``base[g]`` label is it.
 
         Each group's joint count of its base labels is built once. A row
         changes it only where it moves points: they leave their (base
@@ -174,7 +179,7 @@ class SwapMargins:
         x ln x changes by the touched cells' terms alone. Cluster sizes and
         the joining cluster's class counts are (n, K + 1) and (n, K) tables.
         """
-        n, m = takes.shape
+        n, m = group.size, self.truth.size
         num_classes, xlogx = self.num_classes, self.xlogx
         num_ids = num_classes + 1
         width = num_ids * num_classes
@@ -185,10 +190,9 @@ class SwapMargins:
         ).reshape(-1, width)
         # each move's (row, cell) key, sorted: a row's moves out of one
         # cell are then one run
-        at = np.flatnonzero(takes)
-        rows = at // m
+        rows = moves // m
         # the moved point's cell under its row's base: same point, group's row
-        moved_cell = cell.ravel()[at + (group[rows] - rows) * m]
+        moved_cell = cell.ravel()[moves + (group[rows] - rows) * m]
         key = np.sort(rows * width + moved_cell)
         # the start of each run, and the end of the last
         edge = np.ones(key.size + 1, dtype=bool)

@@ -157,6 +157,14 @@ def test_loss_rejects_labels_that_are_not_dense_class_ids():
                 clustering_loss(batch, bad, gamma)
 
 
+def test_loss_rejects_a_gamma_that_is_not_finite_and_nonnegative():
+    """max(0, nan) is 0, so a nan gamma gave loss 0.0 and no error."""
+    emb, y = separated_instance()
+    for gamma in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(InvalidInputError, match="gamma"):
+            clustering_loss(EmbeddingBatch(emb), y, gamma)
+
+
 def _reference_batches():
     """Random batches, a third of them integer-rounded (coincident points,
     zero distances) and a third with unit rows, then paper-shaped ones:

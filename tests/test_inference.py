@@ -653,7 +653,8 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 score
     every candidate and later steps only those whose bound reaches the best
     score: under a quarter of the 40,464 rows that full scoring reads. With
-    the margin every step is one call over all candidates."""
+    the margin step 0 makes no ``SwapMargins`` call and every later step
+    one, each over a subset of the moves of the step before."""
     rng = np.random.default_rng(1280 + 32)
     y = np.arange(1280) % 32
     emb = 3.0 * rng.normal(size=(32, 16))[y] + rng.normal(size=(1280, 16))
@@ -669,10 +670,19 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     assert rows[:2] == [1280, 1279]
     assert sum(rows) < 0.25 * sum(range(1280 - 31, 1281))
 
-    rows.clear()
+    score = SwapMargins.__call__
+    calls = []
+
+    def recorded(margins, base, pos, moves, group):
+        calls.append((int(pos[0]), moves))
+        return score(margins, base, pos, moves, group)
+
+    monkeypatch.setattr(SwapMargins, "__call__", recorded)
     dist, y = dist[:129, :129], np.arange(129) % 32
     greedy_inference(dist, y, 1.0)
-    assert rows == list(range(129, 129 - 32, -1))
+    assert [step for step, _ in calls] == list(range(1, 32))
+    for (_, before), (step, after) in itertools.pairwise(calls):
+        assert np.isin(after, before).all(), step
 
 
 def test_refinement_scores_each_segment_of_a_sweep_in_one_margin_call():
@@ -687,7 +697,7 @@ def test_refinement_scores_each_segment_of_a_sweep_in_one_margin_call():
     rows = []
 
     def counted(self, *args):
-        rows.append(len(args[2]))
+        rows.append(len(args[3]))
         return score(self, *args)
 
     calls = sweeps = 0
@@ -769,18 +779,21 @@ def contract_checked(call):
     """``SwapMargins.__call__`` that first asserts the labels inference
     must pass it: dense classes 0..K-1, and per group of rows a position
     ``pos[g]`` below K and one base label per point in 0..K (K: no
-    medoid), none of them ``pos[g]``. Every row belongs to a group."""
+    medoid), none of them ``pos[g]``. Every row belongs to a group, and
+    the moves are distinct flat indices of (row, point) pairs."""
 
-    def checked(margins, base, pos, takes, group):
-        k = margins.num_classes
+    def checked(margins, base, pos, moves, group):
+        k, m = margins.num_classes, margins.truth.size
         assert np.array_equal(np.unique(margins.truth), np.arange(k))
-        assert base.dtype.kind == "i" and base.shape == (len(pos), takes.shape[1])
-        assert group.shape == takes.shape[:1] and ((0 <= group) & (group < len(pos))).all()
+        assert base.dtype.kind == "i" and base.shape == (len(pos), m)
+        assert group.ndim == 1 and ((0 <= group) & (group < len(pos))).all()
+        assert moves.dtype.kind == "i" and ((0 <= moves) & (moves < group.size * m)).all()
+        assert np.unique(moves).size == moves.size
         for g, p in enumerate(pos):
             assert 0 <= p < k, (pos, g)
             assert ((0 <= base[g]) & (base[g] <= k) & (base[g] != p)).all(), (base[g], p)
         checked.calls += 1
-        return call(margins, base, pos, takes, group)
+        return call(margins, base, pos, moves, group)
 
     checked.calls = 0
     return checked
@@ -791,7 +804,7 @@ def contract_checked(call):
 def test_infer_equals_reference_loops_on_square_matrices(instance):
     """``infer`` on ``dist`` equals, under ``==``, the per-candidate greedy
     and refinement loops on ``dist.T`` (they read medoid columns), at
-    gamma 0 and 0.5 in both pools. Greedy's objective followed by the
+    gamma 0, 0.5 and 2 in both pools. Greedy's objective followed by the
     refinement trace never falls, with no tolerance, and refinement stops
     before its sweep cap. Every ``SwapMargins`` call meets its label
     contract."""
@@ -800,7 +813,7 @@ def test_infer_equals_reference_loops_on_square_matrices(instance):
     checked = contract_checked(SwapMargins.__call__)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SwapMargins, "__call__", checked)
-        for gamma in (0.0, 0.5):
+        for gamma in (0.0, 0.5, 2.0):
             seed = greedy_reference(dist.T, y, gamma)
             for pool in ("cluster", "all"):
                 greedy, refined = infer(dist, y, gamma, sweeps, pool)
@@ -811,3 +824,50 @@ def test_infer_equals_reference_loops_on_square_matrices(instance):
                 assert all(a <= b for a, b in itertools.pairwise(objectives)), (gamma, pool)
                 assert len(refined.trace) < sweeps, (gamma, pool)
     assert checked.calls > 0
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(square_instances())
+def test_greedy_carries_the_moves_of_the_dense_serving_rule(instance):
+    """At gamma 0.5 greedy scores step 0, where every candidate takes every
+    point, without a ``SwapMargins`` call. At each later step the moves it
+    carries from the step before are those of the dense rule: each
+    (candidate, point) pair where ``_serves`` says the candidate, placed at
+    the step's position, would serve the point against the medoids chosen
+    so far."""
+    dist, y = instance
+    score = SwapMargins.__call__
+    calls = []
+
+    def recorded(margins, base, pos, moves, group):
+        calls.append((base[0].copy(), int(pos[0]), moves))
+        return score(margins, base, pos, moves, group)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SwapMargins, "__call__", recorded)
+        result = greedy_inference(dist, y, 0.5)
+    num_classes = int(y.max()) + 1
+    assert [step for _, step, _ in calls] == list(range(1, num_classes))
+    for base, step, moves in calls:
+        chosen = list(result.medoids[:step])
+        assert np.array_equal(base, assign(dist, chosen)), step
+        best_dist = np.where(base == num_classes, np.inf, dist[chosen].min(axis=0))
+        want = np.flatnonzero(inference._serves(dist, step, best_dist, base))
+        assert np.array_equal(moves, want), step
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_inference_rejects_a_gamma_that_is_not_finite_and_nonnegative(gamma):
+    """A nan gamma made every score nan, and so the loss max(0, nan) = 0;
+    greedy, refinement, ``infer`` and brute force all refuse it, an
+    infinite or a negative one through one check."""
+    dist, y = line_instance()
+    seed = greedy_inference(dist, y, 1.0)
+    for run in (
+        lambda: greedy_inference(dist, y, gamma),
+        lambda: pam_refine(dist, y, seed, gamma, 5),
+        lambda: infer(dist, y, gamma, 5),
+        lambda: brute_force_inference(dist, y, gamma),
+    ):
+        with pytest.raises(InvalidInputError, match="gamma"):
+            run()

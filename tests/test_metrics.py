@@ -25,9 +25,11 @@ def dense(y):
 
 
 def one_group(scorer, base, pos, takes):
-    """``SwapMargins`` rows of one group: each moves points of ``base``
-    into position ``pos``, as a greedy step scores them."""
-    return scorer(base[None], np.array([pos]), takes, np.zeros(len(takes), dtype=np.intp))
+    """``SwapMargins`` rows of one group: row r moves the points
+    ``takes[r]`` of ``base`` into position ``pos``, as a greedy step
+    scores them."""
+    group = np.zeros(len(takes), dtype=np.intp)
+    return scorer(base[None], np.array([pos]), np.flatnonzero(takes), group)
 
 
 def test_same_partition():
@@ -225,7 +227,7 @@ def test_grouped_swap_margins_rows_equal_margin_of_materialized_labels(call):
     ``margin`` of the labels it materializes from its own group's base and
     position."""
     y_star, base, pos, takes, group = call
-    got = SwapMargins(y_star)(base, pos, takes, group).tolist()
+    got = SwapMargins(y_star)(base, pos, np.flatnonzero(takes), group).tolist()
     rows = np.where(takes, pos[group, None], base[group])
     assert got == [margin(row, y_star) for row in rows]
 
