@@ -20,11 +20,15 @@ from .errors import InvalidInputError
 
 
 def _check_medoids(dist: np.ndarray, medoids: Sequence[int]) -> np.ndarray:
-    s = np.asarray(medoids, dtype=np.intp)
+    s = np.asarray(medoids)
     if s.size == 0:
         raise InvalidInputError("medoid set must be nonempty")
-    if s.ndim != 1:
-        raise InvalidInputError("medoid set must be a flat index sequence")
+    # refused rather than cast: a float index would be truncated and a
+    # bool read as 0 or 1
+    if s.ndim != 1 or not np.issubdtype(s.dtype, np.integer):
+        raise InvalidInputError(
+            f"medoid set must be a flat sequence of integer indices, got {s.dtype}{s.shape}"
+        )
     m = dist.shape[0]
     if np.any(s < 0) or np.any(s >= m):
         raise InvalidInputError(f"medoid index out of range [0, {m})")

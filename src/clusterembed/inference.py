@@ -13,81 +13,90 @@ medoid/member exchanges; ``infer`` runs one after the other.
 
 The distance matrix is read in one orientation, as in ``facility``:
 ``D[s, i]`` is the cost of serving point i from medoid s, so a candidate
-is scored from its contiguous row ``D[cands]``. Nothing here needs the
-matrix to be symmetric, only square, nonempty and free of nan.
+is scored from its contiguous row. Nothing here needs the matrix to be
+symmetric, only square, nonempty and free of nan. Which medoid serves a
+point follows one rule, ``_serves``: the nearer, ties to the smaller
+position. A candidate's facility part is one row sum, ``_facility_rows``:
+minus the sum of the row's minima with each point's cost from the other
+medoids. Every score of greedy and refinement that reads rows takes it
+from there, so one summation order decides every tie between medoids.
 
-Costs (m points, C medoids, K classes): every greedy step scores n <= m
-candidates, reading their rows; with the margin, O(m * m) row sums plus
-O(moves) to refilter its moves (below) per step. A refinement sweep
-scores its positions in segments: positions k..C-1 together, against
-the medoid set as it stands. The first of them whose best candidate is not its medoid
-installs that candidate, and the positions after it are scored again as
-the next segment. Positions are still decided one at a time, in order,
-against the current set, so medoids, traces and ties are those of
-scoring one position at a time. A segment's positions go to the scoring
-calls whole, each call taking positions until its rows reach m: one call
-per segment in the within-cluster pool, whose candidates are about the m
-points. Few positions install a swap (74 of 2,097 margin-scored
-positions in a 40-iteration training run at m = 128, C = 32), so a sweep
-makes about one call plus one per swap, not one per position: 3.75
-margin calls per training step in that run, where one per position made
-53.
-Which medoid serves a point follows one rule, ``_serves``: the
-nearer, ties to the smaller position. Each point's nearest other medoid
-comes from the caller: greedy keeps each point's nearest chosen medoid as
-running state, O(m) per step, and refinement reads it from a table of
-each point's two nearest medoids (``_two_nearest``), O(m) per position.
-The table is built, O(m * C log C), when a segment first needs it (with
-the margin, or in the whole-batch pool) and again only after a swap is
-installed, so the within-cluster refinement at gamma = 0 never builds it.
-Since few positions install a swap, the table is rebuilt rather than
-updated point by point. Without the margin a scored candidate costs one
-row, O(m); the within-cluster refinement scores each candidate over its
-cluster's points only, from costs summed once per sweep in ascending
-point order (``_cluster_costs``, O(sum of squared cluster sizes)), and
-at gamma = 0 reads no rows. With the margin, a refinement call finds
-the moves, the (candidate, point) pairs where the candidate would take
-the point from the other medoids, from an (n, m) mask; greedy carries
-them from step to step instead. Either scores the margins with one
-``SwapMargins`` call (built once per greedy or refinement call), one row
-group per position, given the moves as flat indices. Its labels are
-positions: 0..C-1 for the medoids and C (= K) for no medoid, at cost
-inf, as in ``_two_nearest``; greedy starts every point there, so no
-point's base label is the position being scored. That call counts only
-the points a candidate moves: O(moves log moves + G * K * K + n * K)
-beyond O(G * m) for the bases of G positions, with no n * K * K table.
-Greedy keeps a move, stored as ``candidate * m + point``, while the
-candidate at the next position would still serve the point. At step 0
-every candidate takes every point, so the step's margins are one
-``margin`` of one cluster and no call. Step 0 puts every point at
-position 0; after it a candidate serves a point only by being strictly
-nearer than the point's nearest chosen medoid, and that distance only
-falls. So the moves are built once after step 0, from ``_serves`` over
-the whole matrix, and each later step keeps those that still serve,
-O(moves); no (n, m) mask is built per step. Its facility part is every
-row's sum of ``min(D[c], nearest chosen cost)``, chosen candidates
-included (they take no point), and the pick is made among the others.
-Every margin's sums of x ln x are exact integers in fixed point, so
-every candidate's margin has the bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``,
-the held-out metric), and maxima and ties are the scalar ones. Greedy at
-gamma = 0 on a nonnegative matrix (every
-``pairwise_distances`` matrix) is lazy (Minoux 1978): A is then monotone
-submodular, so a candidate's gain A(S + {i}) - A(S) from the step that
-last scored it bounds its gain now. Steps 0 and 1 score every candidate;
-later steps score candidates in blocks of 64 rows in order of decreasing
-bound (stable, so equal bounds keep index order), and stop once the next
-candidate's A(S) + bound falls below the best score less a slack of
-1e-9 |A| (the first step's |A(S)|, the largest any step reaches), orders
-of magnitude above the rounding of a row sum. A gain is kept only when
-the A(S) it is taken from is finite, so inf distances leave bounds at inf
-and their candidates scored. Every candidate that could tie the best is
-scored, each score is the row sum full scoring computes, and the pick is
-the smallest index with the best score, so medoids, ties and traces are
-those of full scoring. On held-out blobs at m = 1,280, C = 32 this scores
-about 6,100 of the 40,464 candidate rows. With the margin A is not
-submodular, and every step scores every candidate, as does every step on
-a matrix with a negative entry. Greedy makes C steps; a
-sweep scores at most C positions, in one segment plus one per swap.
+Costs (m points, C medoids, K classes). Greedy makes C steps, each of
+one of two kinds; a candidate is one not yet chosen (a ``free`` mask),
+and greedy keeps each point's nearest chosen medoid as running state,
+O(m) per step.
+
+- Every row at once: the facility part of all m rows, chosen ones
+  included (they take no point), O(m * m), plus the margin when
+  gamma != 0. The pick is the first maximum among the candidates, or
+  the first nan, as ``np.argmax`` takes it.
+- Lazy blocks (Minoux 1978), at gamma = 0 on a nonnegative matrix (every
+  ``pairwise_distances`` matrix) from step 2 on, while A(S) is finite. A
+  is then monotone submodular, so a candidate's gain A(S + {i}) - A(S)
+  from the step that last scored it bounds its gain now. Candidates are
+  scored in blocks of 64 rows in order of decreasing bound (stable, so
+  equal bounds keep index order) until the next candidate's A(S) + bound
+  falls below the best score less a slack of 1e-9 |A| (the first step's
+  |A(S)|, the largest any step reaches), orders of magnitude above the
+  rounding of a row sum. Step 1 records the gains from its full scores.
+  A gain is kept only when the A(S) it is taken from is finite, so inf
+  distances leave bounds at inf and their candidates scored. Every
+  candidate that could tie the best is scored with the same row sum, and
+  the pick is the smallest index with the best score, so medoids, ties
+  and traces are those of full scoring. On held-out blobs at
+  m = 1,280, C = 32 this reads about 6,100 of the 40,464 candidate rows.
+
+Every other step is a full one: steps 0 and 1, every step with the margin
+(A is then not submodular) and every step on a matrix with a negative
+entry.
+
+A refinement sweep scores its positions in segments: positions k..C-1
+together, against the medoid set as it stands. The first of them whose
+best candidate is not its medoid installs that candidate, and the
+positions after it are scored again as the next segment. Positions are
+still decided one at a time, in order, against the current set, so
+medoids, traces and ties are those of scoring one position at a time. A
+segment's positions go to the scoring calls whole, each call taking
+positions until its rows reach m: one call per segment in the
+within-cluster pool, whose candidates are about the m points. Few
+positions install a swap (74 of 2,097 margin-scored positions in a
+40-iteration training run at m = 128, C = 32), so a sweep makes about one
+call plus one per swap, not one per position: 3.75 margin calls per
+training step in that run, where one per position made 53. ``pam_refine``
+owns a table of each point's two nearest medoids (``_two_nearest``),
+built, O(m * C log C), when a call first needs it (with the margin, or in
+the whole-batch pool) and dropped when a swap is installed; since few
+positions install a swap, it is rebuilt rather than updated point by
+point. ``_swap_scores`` reads each position's nearest other medoid from
+it, O(m) per position, and costs one row, O(m), per candidate. The
+within-cluster refinement scores each candidate over its cluster's points
+only, from costs summed once per sweep in ascending point order
+(``_cluster_costs``, O(sum of squared cluster sizes)); at gamma = 0 that
+is the whole score, so it reads no rows and never builds the table.
+
+With the margin, a refinement call finds the moves, the (candidate,
+point) pairs where the candidate would take the point from the other
+medoids, from an (n, m) mask; greedy carries them from step to step
+instead. Either scores the margins with one ``SwapMargins`` call (built
+once per greedy or refinement call), one row group per position, given
+the moves as flat indices. Its labels are positions: 0..C-1 for the
+medoids and C (= K) for no medoid, at cost inf, as in ``_two_nearest``;
+greedy starts every point there, so no point's base label is the
+position being scored. That call counts only the points a candidate
+moves: O(moves log moves + G * K * K + n * K) beyond O(G * m) for the
+bases of G positions, with no n * K * K table. Greedy keeps a move,
+stored as ``candidate * m + point``, while the candidate at the next
+position would still serve the point. At step 0 every candidate takes
+every point, so the step's margins are one ``margin`` of one cluster and
+no call. Step 0 puts every point at position 0; after it a candidate
+serves a point only by being strictly nearer than the point's nearest
+chosen medoid, and that distance only falls. So the moves are built once
+after step 0, from ``_serves`` over the whole matrix, and each later step
+keeps those that still serve, O(moves). Every margin's sums of x ln x
+are exact integers in fixed point, so every candidate's margin has the
+bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``, the
+held-out metric), and maxima and ties are the scalar ones.
+
 Each medoid set is labelled once: refinement starts from the labels and
 A(S) of its seed, and after each sweep that changes the set makes one
 ``label_medoids`` call (one ``assign``, and one ``margin`` if gamma !=
@@ -171,43 +180,48 @@ def _two_nearest(dist: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.n
     return np.take_along_axis(rows, at, axis=0), at
 
 
+def _facility_rows(rows: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The facility part of A(S) for each candidate row of ``rows``, the
+    candidate's cost of serving each point: minus the row's sum of
+    min(cost, ``near``), the point's cost from the other medoids. The one
+    row sum of inference, since its order decides ties between medoids.
+    ``out`` takes the minima and may be ``rows``."""
+    return -np.minimum(rows, near, out=out).sum(axis=1)
+
+
 def _swap_scores(
     dist: np.ndarray,
     gamma: float,
     margins: SwapMargins | None,
+    nearest: tuple[np.ndarray, np.ndarray],
     cands: np.ndarray,
     group: np.ndarray,
     pos: np.ndarray,
-    other_min: np.ndarray | None,
-    other_pos: np.ndarray | None,
     facility: np.ndarray | None = None,
 ) -> np.ndarray:
     """A(S) for each medoid set S that puts candidate ``cands[r]`` at
-    position ``pos[g]``, g = ``group[r]``, of a medoid set whose other
-    medoids serve each point at distance ``other_min[g]`` from position
-    ``other_pos[g]``. A group is one scored position: ``pos`` is (G,) and
-    the other medoids' rows are (G, m).
+    position ``pos[g]``, g = ``group[r]``, of the medoid set whose two
+    nearest medoids of each point are ``nearest`` (``_two_nearest``). A
+    group is one scored position, and its other medoids serve each point
+    from the point's nearest medoid at another position: level 1 of the
+    table where level 0 is the scored position, else level 0.
 
     Labels follow ``assign``, through ``_serves``.
     ``margins`` scores against the true classes when gamma != 0, all
     groups in one call.
-    ``facility`` replaces the exact facility part, one value per candidate;
-    given it at gamma = 0, the call returns it and the other medoids may be
-    None.
+    ``facility`` replaces the exact facility part, one value per candidate.
     """
-    if facility is not None and gamma == 0.0:
-        return facility
-    # one group's rows broadcast over the candidates; several are read per row
-    per_row = group if len(pos) > 1 else slice(None)
-    near_min = other_min[per_row]
+    own = nearest[1][0] == pos[:, None]
+    other_min, other_pos = (np.where(own, level[1], level[0]) for level in nearest)
+    near_min = other_min[group]
     # row c holds the cost of serving each point from candidate c
     cand_dist = dist[cands]
     if gamma != 0.0:
         # the points each candidate takes from the other medoids
-        takes = _serves(cand_dist, pos[per_row, None], near_min, other_pos[per_row])
+        takes = _serves(cand_dist, pos[group, None], near_min, other_pos[group])
     if facility is None:
         # in place: ``takes`` above was the last reader of the raw rows
-        facility = -np.minimum(cand_dist, near_min, out=cand_dist).sum(axis=1)
+        facility = _facility_rows(cand_dist, near_min, cand_dist)
     if gamma == 0.0:
         return facility
     return facility + gamma * margins(other_pos, pos, np.flatnonzero(takes), group)
@@ -267,6 +281,9 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     # at position ``num_classes``, no medoid, at cost inf
     best_dist = np.full(m, np.inf)
     best_pos = np.full(m, num_classes, dtype=np.intp)
+    free = np.ones(m, dtype=bool)
+    # each candidate's cost of serving each point with the chosen medoids
+    cost = np.empty((m, m))
     # each point's gain A(S + {i}) - A(S) when last scored; inf until then
     gain = np.full(m, np.inf)
     # gains bound later gains at gamma = 0, where A is submodular; on a
@@ -275,63 +292,50 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     lazy_ok = gamma == 0.0 and least >= 0
     if gamma != 0.0:
         margins = SwapMargins(y_star)
-        free = np.ones(m, dtype=bool)
-        # each candidate's cost of serving each point with the chosen medoids
-        cost = np.empty((m, m))
         # every row's group, and at step 0 every point's label: one cluster
         zeros = np.zeros(m, dtype=np.intp)
 
-    def score(block: np.ndarray) -> np.ndarray:
-        # a step scores one group: position ``step`` against the running state
-        return _swap_scores(
-            dist, gamma, None, block, np.zeros(block.size, dtype=np.intp), np.array([step]),
-            best_dist[None], best_pos[None],
-        )
-
     for step in range(num_classes):
-        if gamma != 0.0:
+        cands = np.flatnonzero(free)
+        # gains exist from step 1 on, and only while A(S) is finite: a
+        # gain taken from -inf is inf or nan and bounds nothing
+        bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
+        if bounded and step > 1:
+            # score the highest bound first, stably, so equal bounds keep
+            # index order, while the next bound reaches the best score
+            # less the slack
+            order = cands[np.argsort(-gain[cands], kind="stable")]
+            blocks, hi, top = [], 0, -np.inf
+            while hi < order.size and trace[-1] + gain[order[hi]] >= top - slack:
+                rows = dist[order[hi : hi + LAZY_BLOCK_ROWS]]
+                blocks.append(_facility_rows(rows, best_dist, rows))
+                top = max(top, float(blocks[-1].max()))
+                hi += LAZY_BLOCK_ROWS
+            cands, scores = order[:hi], np.concatenate(blocks)
+            # the smallest index with the best score
+            pick = int(cands[scores == top].min())
+        else:
             # every candidate's row, chosen ones included: they take no
             # point, and the pick is made among the free ones
-            scores = -np.minimum(dist, best_dist, out=cost).sum(axis=1)
-            if step == 0:
+            scores = _facility_rows(dist, best_dist, cost)
+            if gamma != 0.0 and step == 0:
                 # every candidate takes every point
                 scores += gamma * margin(zeros, y_star)
-            else:
+            elif gamma != 0.0:
                 scores += gamma * margins(best_pos[None], np.array([step]), moves, zeros)
-            cands = np.flatnonzero(free)
-            pick = int(cands[np.argmax(scores[cands])])
-            top = float(scores[pick])
-        else:
-            cands = np.delete(np.arange(m), chosen)
-            # gains exist from step 1 on, and only while A(S) is finite: a
-            # gain taken from -inf is inf or nan and bounds nothing
-            bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
-            # from step 2 on, score the highest bound first, stably, so
-            # equal bounds keep index order
-            lazy = bounded and step > 1
-            order = cands[np.argsort(-gain[cands], kind="stable")] if lazy else cands
-            hi = LAZY_BLOCK_ROWS if lazy else len(order)
-            scores = score(order[:hi])
+            scores = scores[cands]
+            # the first of equal maxima, or the first nan
             best = int(np.argmax(scores))
-            top = float(scores[best])
-            # score on while the next bound reaches the best score less the slack
-            while hi < len(order) and trace[-1] + gain[order[hi]] >= top - slack:
-                block = order[hi : hi + LAZY_BLOCK_ROWS]
-                block_scores = score(block)
-                scores = np.concatenate([scores, block_scores])
-                top = max(top, float(block_scores.max()))
-                hi += LAZY_BLOCK_ROWS
-            # the smallest index with the best score; ``cands`` is ascending
-            pick = int(order[:hi][scores == top].min()) if lazy else int(cands[best])
-            if bounded:
-                gain[order[:hi]] = scores - trace[-1]
+            pick, top = int(cands[best]), float(scores[best])
+        if bounded:
+            gain[cands] = scores - trace[-1]
         chosen.append(pick)
         trace.append(top)
         slack = LAZY_SLACK * abs(trace[0])
+        free[pick] = False
         best_pos[_serves(dist[pick], step, best_dist, best_pos)] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
         if gamma != 0.0 and step + 1 < num_classes:
-            free[pick] = False
             # the moves (candidate c, point i), flat index c * m + i, of
             # position step + 1. Step 0 put every point at position 0, so
             # from here on a candidate serves a point only by being nearer,
@@ -377,39 +381,6 @@ def _scoring_calls(
         rows = slice(done, through[hi - 1])
         yield ks[lo:hi], group[rows] - lo, cands[rows]
         lo, done = hi, through[hi - 1]
-
-
-def _best_candidates(
-    dist: np.ndarray,
-    gamma: float,
-    margins: SwapMargins | None,
-    medoids: list[int],
-    nearest: tuple[np.ndarray, np.ndarray] | None,
-    within: np.ndarray | None,
-    ks: np.ndarray,
-    group: np.ndarray,
-    cands: np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """The best candidate of each position ``ks[g]`` among its ``cands``
-    rows (``group`` g), ties to the smallest index, in one scoring call.
-    In the within-cluster pool ``within`` holds each point's cost of
-    serving its frozen cluster and then each position's medoid's, and in
-    the whole-batch pool it is None. Returns the picks and ``nearest``,
-    the two-nearest table of ``medoids``, built here if the scores need it
-    and it is None."""
-    surrogate = other_min = other_pos = None
-    if within is not None:
-        # a candidate is a point of its position's cluster or that position's medoid
-        pos = ks[group]
-        own = cands == np.asarray(medoids)[pos]
-        surrogate = -np.where(own, within[len(dist) + pos], within[cands])
-    if surrogate is None or gamma != 0.0:  # else the surrogate is the score
-        nearest = nearest or _two_nearest(dist, medoids)
-        # the nearest other medoid: level 1 where level 0 is the position
-        own = nearest[1][0] == ks[:, None]
-        other_min, other_pos = (np.where(own, level[1], level[0]) for level in nearest)
-    scores = _swap_scores(dist, gamma, margins, cands, group, ks, other_min, other_pos, surrogate)
-    return cands[_group_argmax(scores, group)], nearest
 
 
 def _check_gamma(gamma: float) -> None:
@@ -495,8 +466,9 @@ def pam_refine(
     for _ in range(max_sweeps):
         changed = False
         # the within-cluster costs under the frozen assignment, once per
-        # sweep: a medoid keeps its position until that position is scored
-        within = None
+        # sweep: each point's cost of serving its cluster, then each
+        # medoid's of serving its position's; a medoid keeps its position
+        # until that position is scored
         if candidate_pool == "cluster":
             within = _cluster_costs(dist, current.assignment, medoids)
         # score positions ``first``.. against the set as it stands, install
@@ -507,9 +479,18 @@ def pam_refine(
             calls = _scoring_calls(current.assignment, medoids, first, candidate_pool)
             first = num_classes
             for ks, group, cands in calls:
-                picks, nearest = _best_candidates(
-                    dist, gamma, margins, medoids, nearest, within, ks, group, cands
-                )
+                surrogate = None
+                if candidate_pool == "cluster":
+                    # a candidate is a point of its position's cluster or
+                    # that position's medoid
+                    pos = ks[group]
+                    own = cands == np.asarray(medoids)[pos]
+                    surrogate = -np.where(own, within[m + pos], within[cands])
+                scores = surrogate
+                if surrogate is None or gamma != 0.0:  # else the surrogate is the score
+                    nearest = nearest or _two_nearest(dist, medoids)
+                    scores = _swap_scores(dist, gamma, margins, nearest, cands, group, ks, surrogate)
+                picks = cands[_group_argmax(scores, group)]
                 swapped = np.flatnonzero(picks != np.asarray(medoids)[ks])
                 if swapped.size:
                     k = int(ks[swapped[0]])

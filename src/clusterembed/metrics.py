@@ -28,15 +28,18 @@ def _compact_ids(y: np.ndarray) -> np.ndarray:
 
 
 def _contingency(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Joint counts of two nonempty label vectors of one length: one row
-    per cluster id of ``y1`` and one column per id of ``y2``, both
-    compacted."""
+    """Joint counts of two nonempty integer label vectors of one length:
+    one row per cluster id of ``y1`` and one column per id of ``y2``, both
+    compacted. Float and bool labels are refused, not cast."""
     y1 = np.asarray(y1)
     y2 = np.asarray(y2)
     if y1.shape != y2.shape or y1.ndim != 1:
         raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
     if y1.size == 0:
         raise InvalidInputError("labels must be nonempty")
+    for y in (y1, y2):
+        if not np.issubdtype(y.dtype, np.integer):
+            raise InvalidInputError(f"labels must be integer ids, got {y.dtype}")
     rows = _compact_ids(y1)
     cols = _compact_ids(y2)
     shape = (int(rows.max()) + 1, int(cols.max()) + 1)

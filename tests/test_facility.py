@@ -6,6 +6,7 @@ import pytest
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
 from clusterembed.facility import assign, facility_score, oracle_score
+from clusterembed.inference import label_medoids
 
 from oracles import facility_oracle, oracle_score_oracle
 
@@ -44,6 +45,15 @@ def test_medoid_validation():
         facility_score(dist, [10])
     with pytest.raises(InvalidInputError):
         facility_score(dist, [-1])
+    # float and bool indices are refused, not truncated or read as 0 and 1
+    y = np.arange(10) % 2
+    for medoids in ([0.9, 2.2], [0.0, 2.0], np.array([True, False]), [True, False]):
+        with pytest.raises(InvalidInputError):
+            facility_score(dist, medoids)
+        with pytest.raises(InvalidInputError):
+            assign(dist, medoids)
+        with pytest.raises(InvalidInputError):
+            label_medoids(dist, medoids, y, 0.0)
 
 
 def test_assign_nearest_and_tie_to_smallest_position():

@@ -63,6 +63,23 @@ def test_greedy_first_step_tie_to_smallest_index():
     assert result.medoids[0] == 1
 
 
+def test_greedy_takes_the_first_nan_score_as_argmax_does():
+    """Rows holding both +inf and -inf sum to nan. A full greedy step picks
+    as ``np.argmax`` does, the first nan ahead of any number, at gamma 0
+    and 1, as the reference loop does on the transpose."""
+    inf = np.inf
+    dist = np.array(
+        [[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 2.0, 2.0], [inf, -inf, 0.0, 0.0], [-inf, inf, 0.0, 0.0]]
+    )
+    y = np.array([0, 0, 1, 1])
+    for gamma in (0.0, 1.0):
+        with np.errstate(invalid="ignore"):  # inf - inf in the row sums
+            got, want = greedy_inference(dist, y, gamma), greedy_reference(dist.T, y, gamma)
+        assert got.medoids == want.medoids and got.medoids[0] == 2, gamma
+        assert np.array_equal(got.trace, want.trace, equal_nan=True), gamma
+        assert np.isnan(got.trace[0]), gamma
+
+
 def test_greedy_trace_nondecreasing_without_margin():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -399,12 +416,11 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
         medoids = [int(v) for v in rng.permutation(m)[: 1 + i % num_classes]]
         pos = int(rng.integers(0, min(len(medoids) + 1, num_classes)))
         cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
-        costs, at = _two_nearest(dist, medoids)
-        nearest = [np.where(at[0] == pos, level[1], level[0])[None] for level in (costs, at)]
+        nearest = _two_nearest(dist, medoids)
         one = np.zeros(cands.size, dtype=np.intp)
         for gamma in (0.0, 0.5):
             margins = SwapMargins(y) if gamma else None
-            scores = _swap_scores(dist, gamma, margins, cands, one, np.array([pos]), *nearest)
+            scores = _swap_scores(dist, gamma, margins, nearest, cands, one, np.array([pos]))
             for cand, score in zip(cands, scores):
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
                 want = label_medoids(dist, swapped, y, gamma).objective
@@ -423,22 +439,19 @@ def test_grouped_candidate_scores_equal_one_group_calls():
             dist = pairwise_distances(EmbeddingBatch(rng.integers(0, 3, size=(m, 2)) * 1.0))
         num_classes = int(y.max()) + 1
         medoids = [int(v) for v in rng.permutation(m)[:num_classes]]
-        costs, at = _two_nearest(dist, medoids)
+        nearest = _two_nearest(dist, medoids)
         ks = np.arange(num_classes)
-        other_min, other_pos = (np.where(at[0] == ks[:, None], lv[1], lv[0]) for lv in (costs, at))
         is_cand = np.ones((num_classes, m), dtype=bool)
         is_cand[:, medoids] = False
         is_cand[ks, medoids] = True
         group, cands = np.nonzero(is_cand)
         for gamma in (0.0, 0.5):
             margins = SwapMargins(y) if gamma else None
-            got = _swap_scores(dist, gamma, margins, cands, group, ks, other_min, other_pos)
+            got = _swap_scores(dist, gamma, margins, nearest, cands, group, ks)
             for k in ks:
                 rows = group == k
-                want = _swap_scores(
-                    dist, gamma, margins, cands[rows], np.zeros(rows.sum(), dtype=np.intp),
-                    ks[k : k + 1], other_min[k : k + 1], other_pos[k : k + 1],
-                )
+                one = np.zeros(rows.sum(), dtype=np.intp)
+                want = _swap_scores(dist, gamma, margins, nearest, cands[rows], one, ks[k : k + 1])
                 assert got[rows].tolist() == want.tolist(), (i, k, gamma)
 
 
@@ -650,24 +663,26 @@ def test_two_nearest_table_equals_assign_and_nearest_other_loops(instances):
 
 
 def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
-    """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 score
-    every candidate and later steps only those whose bound reaches the best
-    score: under a quarter of the 40,464 rows that full scoring reads. With
-    the margin step 0 makes no ``SwapMargins`` call and every later step
-    one, each over a subset of the moves of the step before."""
+    """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 sum
+    every row and later steps only those of candidates whose bound reaches
+    the best score: under a quarter of the 40,464 candidate rows that full
+    scoring reads. With the margin step 0 makes no ``SwapMargins`` call and
+    every later step one, each over a subset of the moves of the step
+    before."""
     rng = np.random.default_rng(1280 + 32)
     y = np.arange(1280) % 32
     emb = 3.0 * rng.normal(size=(32, 16))[y] + rng.normal(size=(1280, 16))
     dist = pairwise_distances(EmbeddingBatch(emb))
     rows = []
 
-    def counted(dist, gamma, margins, cands, *rest):
-        rows.append(len(cands))
-        return _swap_scores(dist, gamma, margins, cands, *rest)
+    def counted(block, near, out):
+        rows.append(len(block))
+        return facility_rows(block, near, out)
 
-    monkeypatch.setattr(inference, "_swap_scores", counted)
+    facility_rows = inference._facility_rows
+    monkeypatch.setattr(inference, "_facility_rows", counted)
     greedy_inference(dist, y, 0.0)
-    assert rows[:2] == [1280, 1279]
+    assert rows[:2] == [1280, 1280]
     assert sum(rows) < 0.25 * sum(range(1280 - 31, 1281))
 
     score = SwapMargins.__call__

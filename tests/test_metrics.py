@@ -50,6 +50,23 @@ def test_same_partition_shape_validation():
             same_partition(np.array(y1), np.array(y2))
 
 
+def test_labels_that_are_not_integers_are_refused():
+    """Float, nan and bool labels fail as malformed labels do, on either
+    side, rather than being cast to integer ids (which made
+    ``nmi([0.2, 0.7, 1.5, 1.9], [0, 0, 1, 1])`` 1.0)."""
+    truth = np.array([0, 0, 1, 1])
+    for bad in (
+        np.array([0.2, 0.7, 1.5, 1.9]),
+        np.array([0.0, 0.0, 1.0, 1.0]),
+        np.array([0.0, np.nan, 1.0, 1.0]),
+        np.array([False, False, True, True]),
+    ):
+        for y1, y2 in ((bad, truth), (truth, bad)):
+            for score in (nmi, margin, same_partition):
+                with pytest.raises(InvalidInputError):
+                    score(y1, y2)
+
+
 def relabeled(pair):
     """The pair as drawn, or the first vector with a relabelled copy of
     itself: ids pushed through a random injection (an equal partition) or
