@@ -28,23 +28,28 @@ O(m) per step.
 
 - Every row at once: the facility part of all m rows, chosen ones
   included (they take no point), O(m * m), plus the margin when
-  gamma != 0. The pick is the first maximum among the candidates, or
-  the first nan, as ``np.argmax`` takes it.
+  gamma != 0. At step 0 no medoid serves any point, so min(cost, inf) is
+  the cost and each row is summed as it is, with no minimum taken. The
+  pick is the first maximum among the candidates, or the first nan, as
+  ``np.argmax`` takes it.
 - Lazy blocks (Minoux 1978), at gamma = 0 on a nonnegative matrix (every
   ``pairwise_distances`` matrix) from step 2 on, while A(S) is finite. A
   is then monotone submodular, so a candidate's gain A(S + {i}) - A(S)
-  from the step that last scored it bounds its gain now. Candidates are
-  scored in blocks of 64 rows in order of decreasing bound (stable, so
-  equal bounds keep index order) until the next candidate's A(S) + bound
-  falls below the best score less a slack of 1e-9 |A| (the first step's
-  |A(S)|, the largest any step reaches), orders of magnitude above the
-  rounding of a row sum. Step 1 records the gains from its full scores.
+  from the step that last scored it bounds its gain now. The candidate
+  of highest bound is scored first (the first of equal bounds). Only the
+  candidates whose A(S) + bound reaches its score less a slack of
+  1e-9 |A| stay live: the first step's |A(S)|, the largest any step
+  reaches, so the slack is orders of magnitude above the rounding of a
+  row sum. The live candidates alone are sorted by decreasing bound
+  (stable, so equal bounds keep index order) and scored in blocks of 64
+  rows until the next one's A(S) + bound falls below the best score less
+  the slack: O(m) for the bounds, O(L log L) to sort L live candidates
+  and O(m) per scored row. Step 1 records the gains from its full scores.
   A gain is kept only when the A(S) it is taken from is finite, so inf
   distances leave bounds at inf and their candidates scored. Every
   candidate that could tie the best is scored with the same row sum, and
   the pick is the smallest index with the best score, so medoids, ties
-  and traces are those of full scoring. On held-out blobs at
-  m = 1,280, C = 32 this reads about 6,100 of the 40,464 candidate rows.
+  and traces are those of full scoring.
 
 Every other step is a full one: steps 0 and 1, every step with the margin
 (A is then not submodular) and every step on a matrix with a negative
@@ -58,21 +63,19 @@ still decided one at a time, in order, against the current set, so
 medoids, traces and ties are those of scoring one position at a time. A
 segment's positions go to the scoring calls whole, each call taking
 positions until its rows reach m: one call per segment in the
-within-cluster pool, whose candidates are about the m points. Few
-positions install a swap (74 of 2,097 margin-scored positions in a
-40-iteration training run at m = 128, C = 32), so a sweep makes about one
-call plus one per swap, not one per position: 3.75 margin calls per
-training step in that run, where one per position made 53. ``pam_refine``
-owns a table of each point's two nearest medoids (``_two_nearest``),
-built, O(m * C log C), when a call first needs it (with the margin, or in
-the whole-batch pool) and dropped when a swap is installed; since few
-positions install a swap, it is rebuilt rather than updated point by
-point. ``_swap_scores`` reads each position's nearest other medoid from
-it, O(m) per position, and costs one row, O(m), per candidate. The
-within-cluster refinement scores each candidate over its cluster's points
-only, from costs summed once per sweep in ascending point order
-(``_cluster_costs``, O(sum of squared cluster sizes)); at gamma = 0 that
-is the whole score, so it reads no rows and never builds the table.
+within-cluster pool, whose candidates are about the m points. So a
+sweep that installs s swaps makes O(s + 1) calls there, not one per
+position. ``pam_refine`` owns a table of each point's two nearest
+medoids (``_two_nearest``), built, O(m * C log C), when a call first
+needs it (with the margin, or in the whole-batch pool) and dropped when
+a swap is installed; since few positions install a swap, it is rebuilt
+rather than updated point by point. ``_swap_scores`` reads each
+position's nearest other medoid from it, O(m) per position, and costs
+one row, O(m), per candidate. The within-cluster refinement scores each
+candidate over its cluster's points only, from costs summed once per
+sweep in ascending point order (``_cluster_costs``, O(sum of squared
+cluster sizes)); at gamma = 0 that is the whole score, so it reads no
+rows and never builds the table.
 
 With the margin, a refinement call finds the moves, the (candidate,
 point) pairs where the candidate would take the point from the other
@@ -180,12 +183,19 @@ def _two_nearest(dist: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.n
     return np.take_along_axis(rows, at, axis=0), at
 
 
-def _facility_rows(rows: np.ndarray, near: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _facility_rows(rows: np.ndarray, near: np.ndarray | None, out: np.ndarray) -> np.ndarray:
     """The facility part of A(S) for each candidate row of ``rows``, the
     candidate's cost of serving each point: minus the row's sum of
     min(cost, ``near``), the point's cost from the other medoids. The one
     row sum of inference, since its order decides ties between medoids.
-    ``out`` takes the minima and may be ``rows``."""
+    ``out`` takes the minima and may be ``rows``. With no ``near``, no
+    other medoid serves any point: min(cost, inf) is the cost, so the
+    rows are summed as they are, in the same order, and ``out`` is not
+    written."""
+    if near is None:
+        # a C-ordered copy only of a matrix that is not one: another layout
+        # would add each row in another order
+        return -np.ascontiguousarray(rows).sum(axis=1)
     return -np.minimum(rows, near, out=out).sum(axis=1)
 
 
@@ -301,11 +311,18 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         # gain taken from -inf is inf or nan and bounds nothing
         bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
         if bounded and step > 1:
-            # score the highest bound first, stably, so equal bounds keep
-            # index order, while the next bound reaches the best score
-            # less the slack
-            order = cands[np.argsort(-gain[cands], kind="stable")]
-            blocks, hi, top = [], 0, -np.inf
+            # score the highest bound first, the first of equal bounds as a
+            # stable sort puts it. Only the candidates whose bound reaches
+            # its score less the slack stay live; they are sorted, stably,
+            # so equal bounds keep index order, and scored in blocks while
+            # the next bound reaches the best score less the slack
+            first = cands[np.argmax(gain[cands])]
+            rows = dist[[first]]
+            blocks = [_facility_rows(rows, best_dist, rows)]
+            top = float(blocks[0][0])
+            live = cands[(trace[-1] + gain[cands] >= top - slack) & (cands != first)]
+            order = np.append(first, live[np.argsort(-gain[live], kind="stable")])
+            hi = 1
             while hi < order.size and trace[-1] + gain[order[hi]] >= top - slack:
                 rows = dist[order[hi : hi + LAZY_BLOCK_ROWS]]
                 blocks.append(_facility_rows(rows, best_dist, rows))
@@ -317,7 +334,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         else:
             # every candidate's row, chosen ones included: they take no
             # point, and the pick is made among the free ones
-            scores = _facility_rows(dist, best_dist, cost)
+            scores = _facility_rows(dist, best_dist if step else None, cost)
             if gamma != 0.0 and step == 0:
                 # every candidate takes every point
                 scores += gamma * margin(zeros, y_star)

@@ -27,6 +27,13 @@ def _compact_ids(y: np.ndarray) -> np.ndarray:
     return np.unique(y, return_inverse=True)[1].reshape(y.shape)
 
 
+def _check_integer(y: np.ndarray) -> None:
+    """Refuse float and bool labels rather than cast them: a cast truncates
+    a float and reads a bool as 0 or 1."""
+    if not np.issubdtype(y.dtype, np.integer):
+        raise InvalidInputError(f"labels must be integer ids, got {y.dtype}")
+
+
 def _contingency(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """Joint counts of two nonempty integer label vectors of one length:
     one row per cluster id of ``y1`` and one column per id of ``y2``, both
@@ -37,9 +44,8 @@ def _contingency(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
     if y1.size == 0:
         raise InvalidInputError("labels must be nonempty")
-    for y in (y1, y2):
-        if not np.issubdtype(y.dtype, np.integer):
-            raise InvalidInputError(f"labels must be integer ids, got {y.dtype}")
+    _check_integer(y1)
+    _check_integer(y2)
     rows = _compact_ids(y1)
     cols = _compact_ids(y2)
     shape = (int(rows.max()) + 1, int(cols.max()) + 1)
@@ -145,7 +151,7 @@ class SwapMargins:
     0..K-1, each present, as ``facility._check_labels`` returns them, and
     a base label is a medoid position 0..K-1, or K for a point that no
     medoid serves yet. So each base's joint table is (K + 1) x K, and no
-    id is relabelled.
+    id is relabelled. A float or bool ``y_star`` is refused, not cast.
 
     One call scores rows of several groups, each with its own base and
     target position: greedy's step is one group, and a refinement sweep
@@ -157,7 +163,9 @@ class SwapMargins:
     """
 
     def __init__(self, y_star: np.ndarray) -> None:
-        self.truth = np.asarray(y_star, dtype=np.intp)
+        y_star = np.asarray(y_star)
+        _check_integer(y_star)
+        self.truth = y_star.astype(np.intp, copy=False)
         classes = np.bincount(self.truth)
         self.num_classes = classes.size
         self.xlogx = _xlogx_table(self.truth.size)
@@ -233,11 +241,17 @@ class SwapMargins:
 def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
     """For each K, the fraction of points whose K nearest neighbors (self
     excluded, distance ties by smaller index) include at least one
-    same-class point, read from the distance matrix ``dist``.
+    same-class point, read from the distance matrix ``dist``, which holds
+    no nan.
 
-    One ranking serves every K. Only the points at or below each row's
-    ``max(ks)``-th smallest distance to another point are ranked, by
-    (distance, index); ``dist`` is not written to.
+    Row i's K nearest others hold a classmate exactly when its nearest
+    classmate j, by (distance, index), ranks among them: fewer than K other
+    points come before j, by a smaller distance or by the same distance and
+    a smaller index. So one masked ``argmin`` over a table of each point's
+    classmates finds j, O(m * c) for a largest class of c points, and
+    counts against j's distance rank it, O(m * m) with no sort; one rank
+    serves every K. A point with no classmate hits at no K. ``dist`` is
+    not written to.
     """
     dist = np.asarray(dist)
     labels = np.asarray(labels)
@@ -247,15 +261,33 @@ def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict
     for k in ks:
         if not 1 <= k < m:
             raise InvalidInputError(f"k must be in [1, {m}), got {k}")
-    top = max(ks, default=0)
-    # at least ``top`` of a row's ``top + 1`` smallest entries are other
-    # points, so its ``top`` nearest others lie at or below the largest of them
-    kth = np.partition(dist, top, axis=1)[:, top]
-    near = dist <= kth[:, None]
-    np.fill_diagonal(near, False)
-    rows, cols = np.nonzero(near)
-    order = np.lexsort((cols, dist[rows, cols], rows))
-    starts = np.searchsorted(rows, np.arange(m))
-    neighbors = cols[order[starts[:, None] + np.arange(top)]]
-    same = labels[neighbors] == labels[:, None]
-    return {int(k): int(np.count_nonzero(same[:, :k].any(axis=1))) / m for k in ks}
+    rows = np.arange(m)
+    # each class's points in ascending order, padded with -1 to the largest
+    # class's size: row i's candidates are its class's points but i
+    _, cls, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(cls, kind="stable")
+    members = np.full((sizes.size, sizes.max()), -1)
+    members[cls[order], rows - (np.cumsum(sizes) - sizes)[cls[order]]] = order
+    mates = members[cls]
+    valid = (mates >= 0) & (mates != rows[:, None])
+    mate_dist = np.where(valid, dist[rows[:, None], mates], np.inf)
+    # the first minimum: the nearest classmate, ties to the smaller index
+    pick = mate_dist.argmin(axis=1)
+    at = mate_dist[rows, pick]
+    # where that minimum is inf, ``argmin`` took the row's first inf, which
+    # may be a pad or the point itself; the first classmate is the nearest
+    far = np.flatnonzero(at == np.inf)
+    pick[far] = valid[far].argmax(axis=1)
+    near = mates[rows, pick]
+    has_mate = valid[rows, pick]
+    # the points nearer than the classmate, then those at its distance
+    # with a smaller index; only rows where another point ties it need
+    # the second count
+    before = np.count_nonzero(dist < at[:, None], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(dist == at[:, None], axis=1) > 1)
+    ahead = (dist[tied] == at[tied, None]) & (rows < near[tied, None])
+    before[tied] += np.count_nonzero(ahead, axis=1)
+    # less the point itself, where it comes before its classmate
+    own = dist[rows, rows]
+    before -= (own < at) | ((own == at) & (rows < near))
+    return {int(k): int(np.count_nonzero(has_mate & (before < k))) / m for k in ks}

@@ -160,16 +160,22 @@ def canonical_partition(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def recall_at_k_oracle(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
-    m = emb.shape[0]
-    dist = dist_oracle(emb)
+def recall_at_k_reference(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Recall@K read from a given matrix: each row's other points sorted by
+    (distance, index), self excluded, and a hit where the first K hold a
+    point of the row's class."""
+    m = len(labels)
     hits = 0
     for i in range(m):
-        order = sorted(j for j in range(m) if j != i)
-        order.sort(key=lambda j: dist[i, j])  # stable: index breaks ties
+        order = sorted((j for j in range(m) if j != i), key=lambda j: (dist[i, j], j))
         if any(labels[j] == labels[i] for j in order[:k]):
             hits += 1
     return hits / m
+
+
+def recall_at_k_oracle(emb: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Recall@K of embeddings, ranked on the loop distances of ``dist_oracle``."""
+    return recall_at_k_reference(dist_oracle(emb), labels, k)
 
 
 def nearest_other_reference(dist: np.ndarray, medoids, pos: int) -> tuple[np.ndarray, list]:

@@ -330,6 +330,36 @@ def test_brute_force_dominates_heuristics():
         assert exact.objective >= seed.objective - 1e-9
 
 
+def guarantee_instances():
+    """Uniform, integer-tied and Euclidean matrices in turn, 60 of each,
+    with m = 4..12 points and K = 1..5 classes."""
+    rng = np.random.default_rng(1978)
+    for i in range(180):
+        m = int(rng.integers(4, 13))
+        if i % 3 == 0:
+            dist = rng.uniform(0.0, 1.0, size=(m, m))
+        elif i % 3 == 1:
+            dist = rng.integers(0, 3, size=(m, m)).astype(float)
+        else:
+            dist = pairwise_distances(EmbeddingBatch(rng.normal(size=(m, 2))))
+        num_classes = int(rng.integers(1, 6))
+        yield dist, rng.permutation(np.arange(m) % num_classes)
+
+
+def test_greedy_reaches_the_submodular_guarantee_at_gamma_zero():
+    """At gamma 0, f(S) = A(S) + sum_i max_s D[s, i] is facility location:
+    normalized, monotone and submodular. So greedy reaches at least
+    (1 - 1/e) of the best f over sets of its size (Nemhauser, Wolsey &
+    Fisher 1978), the guarantee the paper cites for its greedy step. A
+    floor, not an equality, so it gates any change to greedy's order or
+    ties."""
+    for i, (dist, y) in enumerate(guarantee_instances()):
+        shift = float(dist.max(axis=0).sum())
+        greedy = greedy_inference(dist, y, 0.0).objective + shift
+        best = brute_force_inference(dist, y, 0.0).objective + shift
+        assert greedy >= (1.0 - 1.0 / np.e) * best, i
+
+
 def test_brute_force_refuses_huge_instances():
     rng = np.random.default_rng(26)
     m = 40

@@ -7,7 +7,13 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
 from clusterembed.metrics import SwapMargins, margin, nmi, recall_at_k, same_partition
 
-from oracles import canonical_partition, nmi_oracle, nmi_reference, recall_at_k_oracle
+from oracles import (
+    canonical_partition,
+    nmi_oracle,
+    nmi_reference,
+    recall_at_k_oracle,
+    recall_at_k_reference,
+)
 
 label_pairs = st.integers(2, 30).flatmap(
     lambda m: st.tuples(
@@ -53,7 +59,8 @@ def test_same_partition_shape_validation():
 def test_labels_that_are_not_integers_are_refused():
     """Float, nan and bool labels fail as malformed labels do, on either
     side, rather than being cast to integer ids (which made
-    ``nmi([0.2, 0.7, 1.5, 1.9], [0, 0, 1, 1])`` 1.0)."""
+    ``nmi([0.2, 0.7, 1.5, 1.9], [0, 0, 1, 1])`` 1.0). So does a
+    ``SwapMargins`` truth of any of them, which was cast to ``[0 0 1 1]``."""
     truth = np.array([0, 0, 1, 1])
     for bad in (
         np.array([0.2, 0.7, 1.5, 1.9]),
@@ -65,6 +72,8 @@ def test_labels_that_are_not_integers_are_refused():
             for score in (nmi, margin, same_partition):
                 with pytest.raises(InvalidInputError):
                     score(y1, y2)
+        with pytest.raises(InvalidInputError, match="integer"):
+            SwapMargins(bad)
 
 
 def relabeled(pair):
@@ -394,9 +403,9 @@ def test_recall_at_k_matches_oracle():
 
 
 def test_recall_at_k_partial_ranking_matches_oracle_on_ties():
-    """Integer-rounded and duplicated points put many neighbors at the
-    largest K's distance; every point tied there is ranked by (distance,
-    index), which must give the oracle's full stable sort for every K."""
+    """Integer-rounded and duplicated points put many neighbors at one
+    distance, the nearest classmate's among them; ranking by (distance,
+    index) must give the oracle's full stable sort for every K."""
     rng = np.random.default_rng(16)
     for trial in range(30):
         m = int(rng.integers(4, 40))
@@ -414,6 +423,44 @@ def test_recall_at_k_partial_ranking_matches_oracle_on_ties():
             for k, value in got.items():
                 assert type(value) is float
                 assert value == want[k], (trial, top, k)
+
+
+def ranking_instances():
+    """Square matrices of small integers, so that other points tie the
+    nearest classmate's distance, with a diagonal that need not be 0, few
+    classes or many singleton ones, and in every third +inf entries. Then
+    one matrix where point 3's only classmates, 1 and 4, are at inf behind
+    point 0, another class's point at inf: 0 comes before 1 by index."""
+    rng = np.random.default_rng(26)
+    for trial in range(90):
+        m = int(rng.integers(2, 16))
+        dist = rng.integers(0, 4, size=(m, m)).astype(float)
+        if trial % 3 == 2:
+            dist[rng.random((m, m)) < 0.4] = np.inf
+        yield dist, rng.integers(0, (2, m)[trial % 2], size=m)
+    dist = np.array([
+        [0.0, 1.0, 2.0, 3.0, 4.0],
+        [1.0, 0.0, 1.0, 1.0, 1.0],
+        [2.0, 1.0, 0.0, 1.0, 1.0],
+        [np.inf, np.inf, 1.0, 0.5, np.inf],
+        [1.0, 2.0, 3.0, 4.0, 0.0],
+    ])
+    yield dist, np.array([7, 5, 7, 5, 5])
+
+
+def test_recall_at_k_equals_the_reference_ranking_of_the_matrix():
+    """Every K's recall equals, under ``==``, that of ranking each row of
+    the given matrix by (distance, index), self excluded: with ties at the
+    nearest classmate's distance, a diagonal that is not 0, singleton
+    classes and inf entries, among them a row whose only classmates are at
+    inf. The matrix is not written to."""
+    for i, (dist, labels) in enumerate(ranking_instances()):
+        before = dist.copy()
+        ks = tuple(range(1, len(dist)))
+        got = recall_at_k(dist, labels, ks)
+        assert np.array_equal(dist, before), i
+        assert got == {k: recall_at_k_reference(dist, labels, k) for k in ks}, i
+    assert [got[k] for k in ks] == [0.0, 0.4, 0.8, 1.0]
 
 
 def test_recall_at_k_full_neighborhood_with_paired_classes():
