@@ -1,13 +1,15 @@
 """Medoid scoring: facility location objective, nearest-medoid assignment,
-and the per-class oracle score, plus the one distance-matrix check and the
-one class-label check that the oracle and every inference routine share.
+and the per-class oracle score, plus what the oracle and every inference
+routine share: the one distance-matrix check, the one class-label check
+and the one within-group cost.
 
 All functions take a precomputed square distance matrix so that inference
 loops, which evaluate the objective many times per batch, never recompute
 distances. ``dist[s, i]`` is the cost of serving point i from medoid s:
 every function here and in ``inference`` reads that orientation, so the
-matrix need not be symmetric. Medoid sets are ordered index sequences;
-assignment labels are positions within that sequence.
+matrix need not be symmetric. Medoid sets are nonempty ordered sequences
+of distinct integer indices in range (float and bool arrays are refused,
+not cast); assignment labels are positions within that sequence.
 """
 
 from __future__ import annotations
@@ -84,14 +86,39 @@ def assign(dist: np.ndarray, medoids: Sequence[int]) -> np.ndarray:
     return np.argmin(dist[s], axis=0)
 
 
+def _group_costs(
+    dist: np.ndarray, cands: np.ndarray, groups: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """For each candidate ``cands[r]``, its summed cost ``dist[c, i]`` of
+    serving the points i with ``labels[i] == groups[r]``: the within-group
+    cost by which the oracle and refinement's cluster pool pick medoids.
+    One ``bincount`` adds each group's points one by one in ascending
+    order, starting from 0.0, as numpy's column sum
+    ``dist.T[np.ix_(labels == groups[r], cands)].sum(axis=0)`` does, so
+    every sum has its bits, signed zeros included. O(pairs), the sum over
+    candidates of their group's size."""
+    sizes = np.bincount(labels, minlength=int(groups.max()) + 1)
+    # each group's points, ascending, from ``starts``
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    size = sizes[groups]
+    pair = np.repeat(np.arange(cands.size), size)
+    # each pair's point: its group's start plus its rank among its pairs
+    first = np.repeat(starts[groups] - (np.cumsum(size) - size), size)
+    point = members[first + np.arange(pair.size)]
+    # dist[cand, point] through the flat index of the row-major matrix
+    cost = np.take(dist, np.repeat(cands * len(dist), size) + point)
+    return np.bincount(pair, weights=cost, minlength=cands.size)
+
+
 def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Best achievable per-class medoid score under the ground-truth partition.
 
     For each class, picks the member j that minimizes the summed cost
-    ``dist[j, i]`` of serving its class (ties to the smallest
-    index) and accumulates the negated totals. Returns the summed score and
-    the chosen medoid per class in class-id order; the medoids are needed
-    again by the gradient.
+    ``dist[j, i]`` of serving its class (``_group_costs``; ties to the
+    smallest index) and accumulates the negated totals in class order.
+    Returns the summed score and the chosen medoid per class in class-id
+    order; the medoids are needed again by the gradient.
     ``y_star`` must hold one integer class id per point, dense 0..K-1 with
     each id present, and ``dist`` must be square, nonempty and free of nan:
     ``_check_labels`` and ``_check_dist``, the checks inference makes, raise
@@ -99,15 +126,10 @@ def oracle_score(dist: np.ndarray, y_star: np.ndarray) -> tuple[float, tuple[int
     """
     _check_dist(dist)
     y_star, num_classes = _check_labels(y_star, len(dist))
-    # each row's sum over its own class, taken down the columns of the
-    # transpose: axis 0 adds point by point, where axis 1 would add pairwise.
-    # ``where`` keeps an inf distance inf, where a multiply by 0 would make
-    # it nan
-    costs = np.where(y_star[:, None] == y_star, dist.T, 0.0).sum(axis=0)
-    # per class, the member of least cost, ties to the smallest index
+    costs = _group_costs(dist, np.arange(len(dist)), y_star, y_star)
     order = np.lexsort((costs, y_star))
     medoids = order[np.searchsorted(y_star[order], np.arange(num_classes))]
-    # a running total in class order, where ``np.sum`` would add pairwise;
-    # ``0.0 -`` gives a zero total the sign that subtracting each cost does
+    # a running total, where ``np.sum`` would add pairwise; ``0.0 -`` gives
+    # a zero total the sign that subtracting each cost does
     total = float(0.0 - np.add.accumulate(costs[medoids])[-1])
     return total, tuple(medoids.tolist())

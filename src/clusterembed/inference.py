@@ -1,110 +1,91 @@
 """Loss-augmented inference over medoid sets.
 
-The subproblem: over all medoid sets S of fixed size C, maximize
+Over all medoid sets S of size C, one medoid per class, maximize
 
     A(S) = facility_score(D, S) + gamma * margin(assign(D, S), y_star)
 
-The margin rewards candidate clusterings that disagree with the ground
-truth, so the maximizer is the most-violating assignment. Exact
-maximization is NP-hard; ``greedy_inference`` builds an initial set by
-best-marginal-benefit selection and ``pam_refine`` improves it with
-medoid/member exchanges; ``infer`` runs one after the other.
-``brute_force_inference`` exhaustively solves small instances for tests.
+The margin rewards clusterings that disagree with the ground truth, so
+the maximizer is the most-violating assignment. Exact maximization is
+NP-hard: ``greedy_inference`` builds a set by best marginal benefit,
+``pam_refine`` improves it by medoid/point exchanges, and ``infer`` runs
+one after the other. ``brute_force_inference`` solves small instances
+exactly for tests. Everything is sequential and deterministic.
 
-The distance matrix is read in one orientation, as in ``facility``:
-``D[s, i]`` is the cost of serving point i from medoid s, so a candidate
-is scored from its contiguous row. Nothing here needs the matrix to be
-symmetric, only square, nonempty and free of nan. Which medoid serves a
-point follows one rule, ``_serves``: the nearer, ties to the smaller
-position. A candidate's facility part is one row sum, ``_facility_rows``:
-minus the sum of the row's minima with each point's cost from the other
-medoids. Every score of greedy and refinement that reads rows takes it
-from there, so one summation order decides every tie between medoids.
+The matrix. ``D[s, i]`` is the cost of serving point i from medoid s, as
+in ``facility``, so a candidate is scored from its contiguous row and D
+need not be symmetric, only square, nonempty and free of nan. ``_serves``
+is the one serving rule, and a candidate's facility part is the one row
+sum ``_facility_rows``, so one summation order decides every tie between
+medoids.
 
-Costs (m points, C medoids, K classes). Greedy makes C steps, each of
-one of two kinds; a candidate is one not yet chosen (a ``free`` mask),
-and greedy keeps each point's nearest chosen medoid as running state,
-O(m) per step.
+Labels. Greedy and refinement share one label space: medoid positions
+0..C-1, and C for no medoid, at cost inf. Greedy starts every point at
+C, and ``_two_nearest`` appends it as a row, so no base label passed to
+``SwapMargins`` is the position being scored.
 
-- Every row at once: the facility part of all m rows, chosen ones
-  included (they take no point), O(m * m), plus the margin when
-  gamma != 0. At step 0 no medoid serves any point, so min(cost, inf) is
-  the cost and each row is summed as it is, with no minimum taken. The
-  pick is the first maximum among the candidates, or the first nan, as
-  ``np.argmax`` takes it.
-- Lazy blocks (Minoux 1978), at gamma = 0 on a nonnegative matrix (every
-  ``pairwise_distances`` matrix) from step 2 on, while A(S) is finite. A
-  is then monotone submodular, so a candidate's gain A(S + {i}) - A(S)
-  from the step that last scored it bounds its gain now. The candidate
-  of highest bound is scored first (the first of equal bounds). Only the
-  candidates whose A(S) + bound reaches its score less a slack of
-  1e-9 |A| stay live: the first step's |A(S)|, the largest any step
-  reaches, so the slack is orders of magnitude above the rounding of a
-  row sum. The live candidates alone are sorted by decreasing bound
-  (stable, so equal bounds keep index order) and scored in blocks of 64
-  rows until the next one's A(S) + bound falls below the best score less
-  the slack: O(m) for the bounds, O(L log L) to sort L live candidates
-  and O(m) per scored row. Step 1 records the gains from its full scores.
-  A gain is kept only when the A(S) it is taken from is finite, so inf
-  distances leave bounds at inf and their candidates scored. Every
-  candidate that could tie the best is scored with the same row sum, and
-  the pick is the smallest index with the best score, so medoids, ties
-  and traces are those of full scoring.
+Greedy (m points) makes C steps and keeps each point's nearest chosen
+medoid as running state, O(m) per step. A step picks among the candidates
+not yet chosen, in one of two ways.
 
-Every other step is a full one: steps 0 and 1, every step with the margin
-(A is then not submodular) and every step on a matrix with a negative
-entry.
+- Full: the facility part of every row at once, chosen ones included
+  (they take no point), O(m * m), plus the margins when gamma != 0; the
+  pick is the first maximum, or the first nan, as ``np.argmax`` takes
+  it. At step 0 no medoid serves a point, so each row is summed as it
+  is. Steps 0 and 1 are full, and so is every step with the margin (A is
+  then not submodular) or on a matrix with a negative entry.
+- Lazy blocks (Minoux 1978), every other step. At gamma = 0 on a
+  nonnegative matrix A is monotone submodular, so a candidate's gain
+  A(S + {i}) - A(S) from the step that last scored it bounds its gain
+  now; step 1 records the first gains, and a gain is kept only while
+  A(S) is finite. The highest bound is scored first. The slack is
+  ``LAZY_SLACK`` times the first step's |A(S)|, the largest any step
+  reaches, so it is far above a row sum's rounding. The candidates whose
+  A(S) + bound reaches the first score less the slack stay live; they
+  alone are sorted by decreasing bound (stable, so equal bounds keep
+  index order) and scored in blocks of ``LAZY_BLOCK_ROWS`` rows while the
+  next A(S) + bound reaches the best score less the slack: O(m) for the
+  bounds, O(L log L) for L live candidates and O(m) per scored row.
+  Every candidate that could tie the best is scored, by the same row
+  sum, and the pick is the smallest index with the best score, so
+  medoids and traces are those of full steps.
 
-A refinement sweep scores its positions in segments: positions k..C-1
+With the margin, greedy carries its moves, the (candidate, point) pairs
+where the candidate would take the point, as flat indices
+``candidate * m + point``. At step 0 every candidate takes every point,
+so the step's margins are one ``margin`` of one cluster. After it a
+candidate serves a point only by being strictly nearer than the point's
+nearest chosen medoid, which only gets nearer: the moves are built once,
+from ``_serves`` over the whole matrix, and each later step keeps those
+that still serve, O(moves).
+
+Refinement scores a sweep's positions in segments: positions k..C-1
 together, against the medoid set as it stands. The first of them whose
 best candidate is not its medoid installs that candidate, and the
-positions after it are scored again as the next segment. Positions are
-still decided one at a time, in order, against the current set, so
-medoids, traces and ties are those of scoring one position at a time. A
-segment's positions go to the scoring calls whole, each call taking
-positions until its rows reach m: one call per segment in the
-within-cluster pool, whose candidates are about the m points. So a
-sweep that installs s swaps makes O(s + 1) calls there, not one per
-position. ``pam_refine`` owns a table of each point's two nearest
-medoids (``_two_nearest``), built, O(m * C log C), when a call first
-needs it (with the margin, or in the whole-batch pool) and dropped when
-a swap is installed; since few positions install a swap, it is rebuilt
-rather than updated point by point. ``_swap_scores`` reads each
-position's nearest other medoid from it, O(m) per position, and costs
-one row, O(m), per candidate. The within-cluster refinement scores each
-candidate over its cluster's points only, from costs summed once per
-sweep in ascending point order (``_cluster_costs``, O(sum of squared
-cluster sizes)); at gamma = 0 that is the whole score, so it reads no
-rows and never builds the table.
+positions after it are the next segment. Positions are still decided one
+at a time, in order, against the current set, so medoids, traces and
+ties are those of scoring one position at a time. A segment is scored
+in the calls ``_scoring_calls`` yields; the cluster pool has about m
+candidates in all, so a sweep that installs s swaps makes O(s + 1) calls
+there. The cluster pool scores a candidate by its cost of serving its
+position's cluster under the labels the sweep starts from, summed once
+per sweep by ``facility._group_costs``, O(sum of squared cluster sizes);
+at gamma = 0 that is the whole score, and no row is read. The whole-batch
+pool, and every pool with the margin, reads each point's nearest other
+medoid from ``_two_nearest``, O(m * C log C), built when a call first
+needs it and dropped when a swap is installed (few positions install
+one), then O(m) per position and per candidate row. With the margin, a
+refinement call finds its moves from an (n, m) mask.
 
-With the margin, a refinement call finds the moves, the (candidate,
-point) pairs where the candidate would take the point from the other
-medoids, from an (n, m) mask; greedy carries them from step to step
-instead. Either scores the margins with one ``SwapMargins`` call (built
-once per greedy or refinement call), one row group per position, given
-the moves as flat indices. Its labels are positions: 0..C-1 for the
-medoids and C (= K) for no medoid, at cost inf, as in ``_two_nearest``;
-greedy starts every point there, so no point's base label is the
-position being scored. That call counts only the points a candidate
-moves: O(moves log moves + G * K * K + n * K) beyond O(G * m) for the
-bases of G positions, with no n * K * K table. Greedy keeps a move,
-stored as ``candidate * m + point``, while the candidate at the next
-position would still serve the point. At step 0 every candidate takes
-every point, so the step's margins are one ``margin`` of one cluster and
-no call. Step 0 puts every point at position 0; after it a candidate
-serves a point only by being strictly nearer than the point's nearest
-chosen medoid, and that distance only falls. So the moves are built once
-after step 0, from ``_serves`` over the whole matrix, and each later step
-keeps those that still serve, O(moves). Every margin's sums of x ln x
-are exact integers in fixed point, so every candidate's margin has the
-bits of the scalar ``margin`` of its labels (exactly 1 - ``nmi``, the
-held-out metric), and maxima and ties are the scalar ones.
+Margins. A greedy step after step 0, and a refinement call, score their
+margins in one ``SwapMargins`` call, one row group per position. It
+counts only the points a candidate moves: O(moves log moves + G * C * C
++ n * C) for n rows in G groups, beyond O(G * m) for the bases. Each row
+has the bits of the scalar ``margin`` of its labels, exactly 1 - ``nmi``,
+so maxima and ties are the scalar ones.
 
-Each medoid set is labelled once: refinement starts from the labels and
-A(S) of its seed, and after each sweep that changes the set makes one
-``label_medoids`` call (one ``assign``, and one ``margin`` if gamma !=
-0). Everything here is sequential and deterministic: all argmax ties
-resolve to the smallest index.
+Refinement starts from the labels and A(S) of its seed and, after each
+sweep that changes the set, makes one ``label_medoids`` call (one
+``assign``, and one ``margin`` if gamma != 0).
 """
 
 from __future__ import annotations
@@ -117,14 +98,13 @@ from typing import Iterator, Literal, Sequence, get_args
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError
-from .facility import _check_dist, _check_labels, assign
+from .facility import _check_dist, _check_labels, _group_costs, assign
 from .metrics import SwapMargins, margin
 
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_CAP = 10**6
 
-# Lazy greedy (gamma = 0) scores candidate rows in blocks of this size,
-# and scores on while a bound is within this share of |A| of the best.
+# Lazy greedy's block of candidate rows, and its slack as a share of |A|.
 LAZY_BLOCK_ROWS = 64
 LAZY_SLACK = 1e-9
 
@@ -176,8 +156,7 @@ def _serves(cost: np.ndarray, pos: int, other_cost: np.ndarray, other_pos: np.nd
 
 def _two_nearest(dist: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Each point's nearest and second-nearest medoid in ``_serves`` order:
-    (2, m) costs and positions in ``medoids``. Position ``len(medoids)``
-    stands for no medoid, at cost inf."""
+    (2, m) costs and positions, in the module's label space."""
     rows = np.vstack([dist[medoids], np.full(len(dist), np.inf)])
     at = np.argsort(rows, axis=0, kind="stable")[:2]
     return np.take_along_axis(rows, at, axis=0), at
@@ -186,8 +165,7 @@ def _two_nearest(dist: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.n
 def _facility_rows(rows: np.ndarray, near: np.ndarray | None, out: np.ndarray) -> np.ndarray:
     """The facility part of A(S) for each candidate row of ``rows``, the
     candidate's cost of serving each point: minus the row's sum of
-    min(cost, ``near``), the point's cost from the other medoids. The one
-    row sum of inference, since its order decides ties between medoids.
+    min(cost, ``near``), the point's cost from the other medoids.
     ``out`` takes the minima and may be ``rows``. With no ``near``, no
     other medoid serves any point: min(cost, inf) is the cost, so the
     rows are summed as they are, in the same order, and ``out`` is not
@@ -237,31 +215,6 @@ def _swap_scores(
     return facility + gamma * margins(other_pos, pos, np.flatnonzero(takes), group)
 
 
-def _cluster_costs(dist: np.ndarray, assignment: np.ndarray, medoids: list[int]) -> np.ndarray:
-    """The within-cluster costs of the refinement's cluster pool under
-    ``assignment``: each point's summed cost ``dist[c, i]`` of serving the
-    points i of its own cluster, then each medoid's of serving its
-    position's cluster. ``bincount`` adds the points one by one in
-    ascending order, starting from 0.0, as numpy's column sum
-    ``dist.T[np.ix_(cluster, cands)].sum(axis=0)`` does, so every sum has
-    its bits, signed zeros included."""
-    m, num_classes = len(dist), len(medoids)
-    sizes = np.bincount(assignment, minlength=num_classes)
-    # the clusters' points, ascending within each cluster, from ``starts``
-    members = np.argsort(assignment, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    cand_pos = np.concatenate([assignment, np.arange(num_classes)])
-    cands = np.concatenate([np.arange(m), medoids])
-    size = sizes[cand_pos]
-    pair = np.repeat(np.arange(cands.size), size)
-    # each pair's point: its cluster's start plus its rank among its pairs
-    first = np.repeat(starts[cand_pos] - (np.cumsum(size) - size), size)
-    point = members[first + np.arange(pair.size)]
-    # dist[cand, point] through the flat index of the row-major matrix
-    cost = np.take(dist, np.repeat(cands * m, size) + point)
-    return np.bincount(pair, weights=cost, minlength=cands.size)
-
-
 def _group_argmax(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
     """Per group of consecutive ``scores`` (``group`` ascending from 0,
     each group present), the index of the group's maximum as ``np.argmax``
@@ -280,15 +233,12 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     arbitrary constant that cancels out of the argmax). Ties go to the
     smallest candidate index.
     """
-    least = _check_dist(dist)
+    least, y_star, num_classes = _check_args(dist, y_star, gamma)
     m = dist.shape[0]
-    y_star, num_classes = _check_labels(y_star, m)
-    _check_gamma(gamma)
 
     chosen: list[int] = []
     trace: list[float] = []
-    # each point's nearest chosen medoid: distance and position, starting
-    # at position ``num_classes``, no medoid, at cost inf
+    # each point's nearest chosen medoid: distance and position, from none
     best_dist = np.full(m, np.inf)
     best_pos = np.full(m, num_classes, dtype=np.intp)
     free = np.ones(m, dtype=bool)
@@ -296,9 +246,6 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     cost = np.empty((m, m))
     # each point's gain A(S + {i}) - A(S) when last scored; inf until then
     gain = np.full(m, np.inf)
-    # gains bound later gains at gamma = 0, where A is submodular; on a
-    # nonnegative matrix no |A(S)| exceeds the first step's, which sizes
-    # the slack
     lazy_ok = gamma == 0.0 and least >= 0
     if gamma != 0.0:
         margins = SwapMargins(y_star)
@@ -307,15 +254,9 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
 
     for step in range(num_classes):
         cands = np.flatnonzero(free)
-        # gains exist from step 1 on, and only while A(S) is finite: a
-        # gain taken from -inf is inf or nan and bounds nothing
+        # a gain taken from -inf is inf or nan and bounds nothing
         bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
         if bounded and step > 1:
-            # score the highest bound first, the first of equal bounds as a
-            # stable sort puts it. Only the candidates whose bound reaches
-            # its score less the slack stay live; they are sorted, stably,
-            # so equal bounds keep index order, and scored in blocks while
-            # the next bound reaches the best score less the slack
             first = cands[np.argmax(gain[cands])]
             rows = dist[[first]]
             blocks = [_facility_rows(rows, best_dist, rows)]
@@ -329,11 +270,8 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
                 top = max(top, float(blocks[-1].max()))
                 hi += LAZY_BLOCK_ROWS
             cands, scores = order[:hi], np.concatenate(blocks)
-            # the smallest index with the best score
             pick = int(cands[scores == top].min())
         else:
-            # every candidate's row, chosen ones included: they take no
-            # point, and the pick is made among the free ones
             scores = _facility_rows(dist, best_dist if step else None, cost)
             if gamma != 0.0 and step == 0:
                 # every candidate takes every point
@@ -341,7 +279,6 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
             elif gamma != 0.0:
                 scores += gamma * margins(best_pos[None], np.array([step]), moves, zeros)
             scores = scores[cands]
-            # the first of equal maxima, or the first nan
             best = int(np.argmax(scores))
             pick, top = int(cands[best]), float(scores[best])
         if bounded:
@@ -353,10 +290,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         best_pos[_serves(dist[pick], step, best_dist, best_pos)] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
         if gamma != 0.0 and step + 1 < num_classes:
-            # the moves (candidate c, point i), flat index c * m + i, of
-            # position step + 1. Step 0 put every point at position 0, so
-            # from here on a candidate serves a point only by being nearer,
-            # and best_dist only falls: a move never comes back
+            # the moves of position step + 1, which only shrink after step 0
             if step == 0:
                 moves = np.flatnonzero(_serves(dist, 1, best_dist, best_pos))
             else:
@@ -376,10 +310,9 @@ def _scoring_calls(
     """The scoring calls of positions ``first``..K-1 against ``medoids`` as
     they stand: (positions, the group of each candidate, candidates) per
     call, grouped by position and ascending within one. A call takes whole
-    positions until its rows reach m. A position's candidates are its pool
-    (the members of its cluster under ``assignment``, or the whole batch),
-    plus its own medoid, less the other positions' medoids; a position
-    whose only candidate is its own medoid is left out."""
+    positions until its rows reach m. Candidates follow ``pam_refine``'s
+    rule, with the cluster pool's clusters read from ``assignment``, and a
+    position whose only candidate is its own medoid is left out."""
     ks = np.arange(first, len(medoids))
     if candidate_pool == "cluster":
         is_cand = assignment == ks[:, None]
@@ -400,10 +333,16 @@ def _scoring_calls(
         lo, done = hi, through[hi - 1]
 
 
-def _check_gamma(gamma: float) -> None:
+def _check_args(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> tuple[float, np.ndarray, int]:
+    """The input checks of every inference routine: ``_check_dist``'s, with
+    the least entry it returns, ``_check_labels``', with the labels and
+    their number of classes, and a finite, nonnegative gamma."""
+    least = _check_dist(dist)
+    y_star, num_classes = _check_labels(y_star, len(dist))
     # a nan gamma would make every score nan, and the loss's max(0, nan) 0
     if not (gamma >= 0.0 and np.isfinite(gamma)):
         raise InvalidInputError(f"gamma must be finite and nonnegative, got {gamma}")
+    return least, y_star, num_classes
 
 
 def _check_refine_args(max_sweeps: int, candidate_pool: CandidatePool) -> None:
@@ -433,13 +372,6 @@ def pam_refine(
     installed in place, ties to the smallest index. Sweeps stop early once
     one of them changes nothing.
 
-    A sweep scores the positions from its start, or from just after the
-    last installed swap, in one batch against the set as it stands, and
-    installs the first pick that is not its position's medoid; positions
-    before it kept their medoids, so the result is that of visiting the
-    positions one at a time. Each batch is scored in calls of whole
-    positions that stop once their rows reach m.
-
     With the default ``candidate_pool="cluster"``, the pool is the current
     members of cluster k under the assignment frozen at the start of the
     sweep, and a candidate j is scored by
@@ -464,16 +396,14 @@ def pam_refine(
     tests check that the seed's objective followed by the trace never
     falls, with no tolerance.
     """
-    _check_dist(dist)
+    _, y_star, num_classes = _check_args(dist, y_star, gamma)
     m = dist.shape[0]
-    y_star, num_classes = _check_labels(y_star, m)
     medoids = list(seed.medoids)
     if len(medoids) != num_classes:
         raise InvalidInputError(
             f"seed medoid set has size {len(medoids)}, expected {num_classes}"
         )
     _check_refine_args(max_sweeps, candidate_pool)
-    _check_gamma(gamma)
 
     margins = SwapMargins(y_star) if gamma != 0.0 else None
     # the labelled current set, renewed when a sweep changes it, and each
@@ -482,15 +412,12 @@ def pam_refine(
     trace: list[float] = []
     for _ in range(max_sweeps):
         changed = False
-        # the within-cluster costs under the frozen assignment, once per
-        # sweep: each point's cost of serving its cluster, then each
-        # medoid's of serving its position's; a medoid keeps its position
-        # until that position is scored
         if candidate_pool == "cluster":
-            within = _cluster_costs(dist, current.assignment, medoids)
-        # score positions ``first``.. against the set as it stands, install
-        # the first pick that is not its position's medoid, and score the
-        # positions after it again
+            # each point's cost of serving its cluster, then each medoid's
+            # of serving its position's; a medoid keeps its position until
+            # that position is scored
+            groups = np.append(current.assignment, np.arange(num_classes))
+            within = _group_costs(dist, np.append(np.arange(m), medoids), groups, current.assignment)
         first = 0
         while first < num_classes:
             calls = _scoring_calls(current.assignment, medoids, first, candidate_pool)
@@ -541,10 +468,8 @@ def brute_force_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) ->
     subsets. Ties resolve to the lexicographically smallest index tuple,
     which is the enumeration order of ``itertools.combinations``.
     """
-    _check_dist(dist)
+    _, y_star, num_classes = _check_args(dist, y_star, gamma)
     m = dist.shape[0]
-    y_star, num_classes = _check_labels(y_star, m)
-    _check_gamma(gamma)
     if comb(m, num_classes) > BRUTE_FORCE_CAP:
         raise InstanceTooLargeError(
             f"C({m}, {num_classes}) subsets exceed the {BRUTE_FORCE_CAP} enumeration cap"

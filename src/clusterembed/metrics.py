@@ -10,6 +10,7 @@ import numpy as np
 # unused; perfbench/tests/test_perfbench.py expects the tracer to patch it here
 from .embedding_ops import pairwise_distances  # noqa: F401
 from .errors import InvalidInputError
+from .facility import _check_dist
 
 
 def _compact_ids(y: np.ndarray) -> np.ndarray:
@@ -149,9 +150,9 @@ class SwapMargins:
 
     Labels are inference's, not any integers: ``y_star`` holds classes
     0..K-1, each present, as ``facility._check_labels`` returns them, and
-    a base label is a medoid position 0..K-1, or K for a point that no
-    medoid serves yet. So each base's joint table is (K + 1) x K, and no
-    id is relabelled. A float or bool ``y_star`` is refused, not cast.
+    base labels are positions in the ``inference`` label space, 0..K. So
+    each base's joint table is (K + 1) x K, and no id is relabelled. A
+    float or bool ``y_star`` is refused, not cast.
 
     One call scores rows of several groups, each with its own base and
     target position: greedy's step is one group, and a refinement sweep
@@ -241,8 +242,9 @@ class SwapMargins:
 def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict[int, float]:
     """For each K, the fraction of points whose K nearest neighbors (self
     excluded, distance ties by smaller index) include at least one
-    same-class point, read from the distance matrix ``dist``, which holds
-    no nan.
+    same-class point, read from the distance matrix ``dist``. A ``dist``
+    that holds nan, where no ranking is defined, is refused with
+    ``InvalidInputError``.
 
     Row i's K nearest others hold a classmate exactly when its nearest
     classmate j, by (distance, index), ranks among them: fewer than K other
@@ -258,6 +260,7 @@ def recall_at_k(dist: np.ndarray, labels: np.ndarray, ks: Sequence[int]) -> dict
     m = labels.size
     if dist.shape != (m, m):
         raise InvalidInputError(f"distance matrix shape {dist.shape} does not match {m} labels")
+    _check_dist(dist)
     for k in ks:
         if not 1 <= k < m:
             raise InvalidInputError(f"k must be in [1, {m}), got {k}")

@@ -25,7 +25,7 @@ from .cluster_loss import clustering_loss
 from .data import Dataset, batch_class_count, sample_batch, split_by_class
 from .embedding_ops import EmbeddingBatch, pairwise_distances
 from .errors import InvalidInputError
-from .inference import CandidatePool, infer
+from .inference import CandidatePool, _check_refine_args, infer
 from .metrics import nmi, recall_at_k
 from .mlp import MlpParams, backward, forward, init_params
 from .optim import RmsState, gamma_at, rmsprop_step
@@ -63,8 +63,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.loss_kind not in get_args(LossKind):
             raise InvalidInputError(f"unknown loss kind {self.loss_kind!r}")
-        if self.candidate_pool not in get_args(CandidatePool):
-            raise InvalidInputError(f"unknown candidate pool {self.candidate_pool!r}")
+        _check_refine_args(self.refine_sweeps, self.candidate_pool)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
@@ -76,7 +75,6 @@ class TrainConfig:
             "rms_eps": self.rms_eps,
             "gamma0": self.gamma0,
             "gamma_decay_rate": self.gamma_decay_rate,
-            "refine_sweeps": self.refine_sweeps,
             "class_ratio": self.class_ratio,
             "margin_alpha": self.margin_alpha,
             "eval_interval": self.eval_interval,

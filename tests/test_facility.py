@@ -5,7 +5,7 @@ import pytest
 
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
-from clusterembed.facility import assign, facility_score, oracle_score
+from clusterembed.facility import _group_costs, assign, facility_score, oracle_score
 from clusterembed.inference import label_medoids
 
 from oracles import facility_oracle, oracle_score_oracle
@@ -112,6 +112,58 @@ def test_oracle_score_rejects_labels_not_dense_class_ids():
     ):
         with pytest.raises(InvalidInputError):
             oracle_score(dist, np.array(y))
+
+
+def test_within_cluster_costs_add_points_as_each_position_adds_them():
+    """The within-group costs, on the points and medoids as refinement's
+    cluster pool asks for them and on every point by class as the oracle
+    asks for them, have the bits of a column sum over the group's points
+    in ascending order, signed zeros included: each position's
+    ``dist.T[np.ix_(cluster, cands)].sum(axis=0)`` over its cluster's
+    points and its medoid, and each class's ``dist.T[np.ix_(y == k, y ==
+    k)].sum(axis=0)``, whose first minimum is the class's oracle medoid.
+    The oracle's total is the running total of those minima in class
+    order, sign included. On entries of +-2^30..2^49 by the parity of
+    i + j plus small parts, any other order of a group's points changes
+    some sums, and of up to 16 classes any other order of the minima (a
+    pairwise sum differs from 9 terms on); entries of +-0.0 check the sign
+    of zero sums. Medoids need not lie in their own clusters."""
+    rng = np.random.default_rng(48)
+    # the oracle's classes, drawn apart so the clusters above stay as drawn
+    class_rng = np.random.default_rng(49)
+    for i in range(200):
+        m = int(rng.integers(2, 60))
+        idx = np.arange(m)
+        if i % 4 == 3:
+            dist = np.where(rng.random((m, m)) < 0.5, -0.0, 0.0)
+        else:
+            sign = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
+            dist = sign * 2.0 ** int(rng.integers(30, 50)) + rng.uniform(0.0, 3.0, size=(m, m))
+        num_classes = int(rng.integers(1, min(m, 5) + 1))
+        assignment = rng.integers(0, num_classes, size=m)
+        medoids = [int(v) for v in rng.permutation(m)[:num_classes]]
+        groups = np.append(assignment, np.arange(num_classes))
+        got = _group_costs(dist, np.append(idx, medoids), groups, assignment)
+        for k in range(num_classes):
+            # as a position scores them: two or more candidates
+            cands = np.union1d(np.flatnonzero(assignment == k), [medoids[k]])
+            if cands.size < 2:
+                continue
+            want = dist.T[np.ix_(assignment == k, cands)].sum(axis=0)
+            mine = np.where(cands == medoids[k], got[m + k], got[cands])
+            assert np.array_equal(mine, want), (i, k)
+            assert np.array_equal(np.signbit(mine), np.signbit(want)), (i, k)
+        num_classes = int(class_rng.integers(1, min(m, 16) + 1))
+        y = class_rng.permutation(idx % num_classes)
+        want_medoids, want_total = [], 0.0
+        for k in range(num_classes):
+            col = dist.T[np.ix_(y == k, y == k)].sum(axis=0)
+            best = int(np.argmin(col))
+            want_medoids.append(int(np.flatnonzero(y == k)[best]))
+            want_total -= float(col[best])
+        total, medoids = oracle_score(dist, y)
+        assert medoids == tuple(want_medoids), i
+        assert total == want_total and np.signbit(total) == np.signbit(want_total), i
 
 
 def test_monotone_and_submodular_exhaustively():

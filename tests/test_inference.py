@@ -10,7 +10,6 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score, oracle_score
 from clusterembed.inference import (
-    _cluster_costs,
     _swap_scores,
     _two_nearest,
     brute_force_inference,
@@ -483,38 +482,6 @@ def test_grouped_candidate_scores_equal_one_group_calls():
                 one = np.zeros(rows.sum(), dtype=np.intp)
                 want = _swap_scores(dist, gamma, margins, nearest, cands[rows], one, ks[k : k + 1])
                 assert got[rows].tolist() == want.tolist(), (i, k, gamma)
-
-
-def test_within_cluster_costs_add_points_as_each_position_adds_them():
-    """The within-cluster costs of every point and medoid, computed
-    together, have the bits of each position's column sum
-    ``dist.T[np.ix_(cluster, cands)].sum(axis=0)`` over its cluster's
-    points and its medoid, signed zeros included. On entries of
-    +-2^30..2^49 by the parity of i + j plus small parts, any other order
-    of a cluster's points changes some sums; entries of +-0.0 check the
-    sign of zero sums. Medoids need not lie in their own clusters."""
-    rng = np.random.default_rng(48)
-    for i in range(200):
-        m = int(rng.integers(2, 60))
-        idx = np.arange(m)
-        if i % 4 == 3:
-            dist = np.where(rng.random((m, m)) < 0.5, -0.0, 0.0)
-        else:
-            sign = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 1.0, -1.0)
-            dist = sign * 2.0 ** int(rng.integers(30, 50)) + rng.uniform(0.0, 3.0, size=(m, m))
-        num_classes = int(rng.integers(1, min(m, 5) + 1))
-        assignment = rng.integers(0, num_classes, size=m)
-        medoids = [int(v) for v in rng.permutation(m)[:num_classes]]
-        got = _cluster_costs(dist, assignment, medoids)
-        for k in range(num_classes):
-            # as a position scores them: two or more candidates
-            cands = np.union1d(np.flatnonzero(assignment == k), [medoids[k]])
-            if cands.size < 2:
-                continue
-            want = dist.T[np.ix_(assignment == k, cands)].sum(axis=0)
-            mine = np.where(cands == medoids[k], got[m + k], got[cands])
-            assert np.array_equal(mine, want), (i, k)
-            assert np.array_equal(np.signbit(mine), np.signbit(want)), (i, k)
 
 
 ASYMMETRIC_KINDS = ["nonnegative", "rounded", "negative", "inf-block"]

@@ -481,3 +481,9 @@ def test_recall_at_k_bounds():
         recall_at_k(pairwise_distances(emb), labels, (1, 4))
     with pytest.raises(InvalidInputError, match="does not match"):
         recall_at_k(pairwise_distances(emb), labels[:3], (1,))
+    # a nan has no rank: refused, as inference refuses it, not scored by
+    # where it happens to sort
+    nan = np.nan
+    dist = np.array([[0, nan, 2, 1], [1, 0, 3, 1], [2, 3, 0, 1], [1, 1, 1, 0]])
+    with pytest.raises(InvalidInputError, match="nan"):
+        recall_at_k(dist, labels, (1, 2))

@@ -105,6 +105,8 @@ def test_config_validation():
         TrainConfig(loss_kind="contrastive")
     with pytest.raises(InvalidInputError, match="candidate pool"):
         TrainConfig(candidate_pool="everything")
+    with pytest.raises(InvalidInputError, match="at least one sweep"):
+        TrainConfig(refine_sweeps=0)
     with pytest.raises(InvalidInputError, match="round to at least 2 classes"):
         TrainConfig(batch_size=4, class_ratio=0.25)  # only 1 class per batch
     with pytest.raises(InvalidInputError):
