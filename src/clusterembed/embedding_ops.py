@@ -22,8 +22,8 @@ from .errors import DegenerateRowError, InvalidInputError
 ZERO_NORM_TOL = 1e-12
 
 # Rows per block of the distance matrix: the difference buffer holds
-# DISTANCE_BLOCK_ROWS x m x d floats (10 MB at m = 1,280, d = 16).
-DISTANCE_BLOCK_ROWS = 64
+# DISTANCE_BLOCK_ROWS x m x d floats (2.6 MB at m = 1,280, d = 16).
+DISTANCE_BLOCK_ROWS = 16
 
 
 @dataclass

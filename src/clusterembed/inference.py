@@ -24,11 +24,15 @@ C, and ``_two_nearest`` appends it as a row, so no base label passed to
 ``SwapMargins`` is the position being scored.
 
 Greedy (m points) makes C steps and keeps each point's nearest chosen
-medoid as running state, O(m) per step. A step picks among the candidates
-not yet chosen, in one of two ways.
+medoid as running state, O(m) per step. Its one buffer holds a block of
+max(1, ``GREEDY_BLOCK_ENTRIES`` // m) candidate rows, at most m: O(block
+* m) extra memory. ``_facility_rows`` sums each row alone, so the block
+size changes no bit. A step picks among the candidates not yet chosen,
+in one of two ways.
 
-- Full: the facility part of every row at once, chosen ones included
-  (they take no point), O(m * m), plus the margins when gamma != 0; the
+- Full: the facility part of every row, chosen ones included (they take
+  no point), a block of rows at a time through the buffer, so O(m * m)
+  time in O(block * m) extra memory, plus the margins when gamma != 0; the
   pick is the first maximum, or the first nan, as ``np.argmax`` takes
   it. At step 0 no medoid serves a point, so each row is summed as it
   is. Steps 0 and 1 are full, and so is every step with the margin (A is
@@ -42,9 +46,10 @@ not yet chosen, in one of two ways.
   reaches, so it is far above a row sum's rounding. The candidates whose
   A(S) + bound reaches the first score less the slack stay live; they
   alone are sorted by decreasing bound (stable, so equal bounds keep
-  index order) and scored in blocks of ``LAZY_BLOCK_ROWS`` rows while the
-  next A(S) + bound reaches the best score less the slack: O(m) for the
-  bounds, O(L log L) for L live candidates and O(m) per scored row.
+  index order), gathered into the buffer a block at a time and scored
+  while the next A(S) + bound reaches the best score less the slack: O(m)
+  for the bounds, O(L log L) for L live candidates and O(m) per scored
+  row.
   Every candidate that could tie the best is scored, by the same row
   sum, and the pick is the smallest index with the best score, so
   medoids and traces are those of full steps.
@@ -104,8 +109,10 @@ from .metrics import SwapMargins, margin
 # Exhaustive search refuses instances with more candidate subsets than this.
 BRUTE_FORCE_CAP = 10**6
 
-# Lazy greedy's block of candidate rows, and its slack as a share of |A|.
-LAZY_BLOCK_ROWS = 64
+# Costs in greedy's block of candidate rows: at m <= 256 a block is the whole
+# matrix, so a training-size full step stays one row sum.
+GREEDY_BLOCK_ENTRIES = 2**16
+# Lazy greedy's slack as a share of |A|.
 LAZY_SLACK = 1e-9
 
 # Refinement candidate pools: members of the medoid's cluster, or the whole
@@ -166,15 +173,16 @@ def _facility_rows(rows: np.ndarray, near: np.ndarray | None, out: np.ndarray) -
     """The facility part of A(S) for each candidate row of ``rows``, the
     candidate's cost of serving each point: minus the row's sum of
     min(cost, ``near``), the point's cost from the other medoids.
-    ``out`` takes the minima and may be ``rows``. With no ``near``, no
-    other medoid serves any point: min(cost, inf) is the cost, so the
-    rows are summed as they are, in the same order, and ``out`` is not
-    written."""
+    The first rows of ``out`` take the minima; they may be ``rows``. Each
+    row is summed alone, in the same order whatever rows come with it.
+    With no ``near``, no other medoid serves any point: min(cost, inf) is
+    the cost, so the rows are summed as they are, in the same order, and
+    ``out`` is not written."""
     if near is None:
         # a C-ordered copy only of a matrix that is not one: another layout
         # would add each row in another order
         return -np.ascontiguousarray(rows).sum(axis=1)
-    return -np.minimum(rows, near, out=out).sum(axis=1)
+    return -np.minimum(rows, near, out=out[: len(rows)]).sum(axis=1)
 
 
 def _swap_scores(
@@ -242,8 +250,10 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     best_dist = np.full(m, np.inf)
     best_pos = np.full(m, num_classes, dtype=np.intp)
     free = np.ones(m, dtype=bool)
-    # each candidate's cost of serving each point with the chosen medoids
-    cost = np.empty((m, m))
+    # a block of candidates' costs of serving each point with the chosen
+    # medoids, the one buffer a step writes rows to
+    block = max(1, GREEDY_BLOCK_ENTRIES // m)
+    buffer = np.empty((min(block, m), m))
     # each point's gain A(S + {i}) - A(S) when last scored; inf until then
     gain = np.full(m, np.inf)
     lazy_ok = gamma == 0.0 and least >= 0
@@ -252,27 +262,35 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         # every row's group, and at step 0 every point's label: one cluster
         zeros = np.zeros(m, dtype=np.intp)
 
+    def gathered(idx: Sequence[int]) -> np.ndarray:
+        # the facility part of candidate rows gathered into the buffer; the
+        # indices are valid, and "clip" writes to ``out`` where the default
+        # "raise" would fill a copy first
+        rows = np.take(dist, idx, axis=0, out=buffer[: len(idx)], mode="clip")
+        return _facility_rows(rows, best_dist, rows)
+
     for step in range(num_classes):
         cands = np.flatnonzero(free)
         # a gain taken from -inf is inf or nan and bounds nothing
         bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
         if bounded and step > 1:
             first = cands[np.argmax(gain[cands])]
-            rows = dist[[first]]
-            blocks = [_facility_rows(rows, best_dist, rows)]
+            blocks = [gathered([first])]
             top = float(blocks[0][0])
             live = cands[(trace[-1] + gain[cands] >= top - slack) & (cands != first)]
             order = np.append(first, live[np.argsort(-gain[live], kind="stable")])
             hi = 1
             while hi < order.size and trace[-1] + gain[order[hi]] >= top - slack:
-                rows = dist[order[hi : hi + LAZY_BLOCK_ROWS]]
-                blocks.append(_facility_rows(rows, best_dist, rows))
+                blocks.append(gathered(order[hi : hi + block]))
                 top = max(top, float(blocks[-1].max()))
-                hi += LAZY_BLOCK_ROWS
+                hi += block
             cands, scores = order[:hi], np.concatenate(blocks)
             pick = int(cands[scores == top].min())
         else:
-            scores = _facility_rows(dist, best_dist if step else None, cost)
+            near = best_dist if step else None
+            scores = np.concatenate(
+                [_facility_rows(dist[lo : lo + block], near, buffer) for lo in range(0, m, block)]
+            )
             if gamma != 0.0 and step == 0:
                 # every candidate takes every point
                 scores += gamma * margin(zeros, y_star)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from clusterembed.inference import (
     pam_refine,
 )
 from clusterembed.metrics import SwapMargins, margin
+from clusterembed.train import evaluate_embeddings
 
 from oracles import (
     facility_oracle,
@@ -403,8 +405,14 @@ def test_batched_candidate_scoring_matches_reference_loops():
 
 @pytest.mark.parametrize(
     "m,num_classes,gamma,rounded",
-    [(129, 4, 0.0, False), (129, 4, 0.0, True), (1280, 32, 0.0, False), (129, 32, 1.0, False)],
-    ids=["m129", "m129-ties", "m1280", "m129-gamma1"],
+    [
+        (129, 4, 0.0, False),
+        (129, 4, 0.0, True),
+        (1280, 32, 0.0, False),
+        (129, 32, 1.0, False),
+        (300, 8, 0.5, False),
+    ],
+    ids=["m129", "m129-ties", "m1280", "m129-gamma1", "m300-gamma-half"],
 )
 def test_candidate_scoring_matches_reference_loops_at_evaluation_scale(
     m, num_classes, gamma, rounded
@@ -600,9 +608,9 @@ def cancelling_negative_instances():
     ids=["tied-grid", "infinite-groups", "cancelling-negative"],
 )
 def test_lazy_greedy_equals_full_scoring(instances):
-    """At gamma = 0 greedy scores candidates in blocks of 64 rows, highest
-    bound first, wherever the bounds hold; on every instance it equals full
-    scoring under ``==``."""
+    """At gamma = 0 greedy scores candidates highest bound first, in
+    blocks of ``GREEDY_BLOCK_ENTRIES // m`` rows, wherever the bounds hold;
+    on every instance it equals full scoring under ``==``."""
     for i, (dist, y) in enumerate(instances()):
         assert_same_result(greedy_inference(dist, y, 0.0), greedy_reference(dist, y, 0.0), i)
 
@@ -659,21 +667,29 @@ def test_two_nearest_table_equals_assign_and_nearest_other_loops(instances):
                 assert other_pos.tolist() == want_pos, (i, pos)
 
 
+def heldout_blobs():
+    """Gaussian blobs of the held-out size: m = 1,280, 32 classes, d = 16."""
+    rng = np.random.default_rng(1280 + 32)
+    y = np.arange(1280) % 32
+    emb = 3.0 * rng.normal(size=(32, 16))[y] + rng.normal(size=(1280, 16))
+    return EmbeddingBatch(emb), y
+
+
 def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 sum
     every row and later steps only those of candidates whose bound reaches
     the best score: under a quarter of the 40,464 candidate rows that full
-    scoring reads. With the margin step 0 makes no ``SwapMargins`` call and
-    every later step one, each over a subset of the moves of the step
-    before."""
-    rng = np.random.default_rng(1280 + 32)
-    y = np.arange(1280) % 32
-    emb = 3.0 * rng.normal(size=(32, 16))[y] + rng.normal(size=(1280, 16))
-    dist = pairwise_distances(EmbeddingBatch(emb))
-    rows = []
+    scoring reads. Rows are counted per step, whatever blocks a step reads
+    them in; a step's ``near`` is 0 exactly at its chosen medoids, since
+    no two blob points coincide. With the margin step 0 makes no
+    ``SwapMargins`` call and every later step one, each over a subset of
+    the moves of the step before."""
+    batch, y = heldout_blobs()
+    dist = pairwise_distances(batch)
+    rows = [0] * 32
 
     def counted(block, near, out):
-        rows.append(len(block))
+        rows[0 if near is None else np.count_nonzero(near == 0)] += len(block)
         return facility_rows(block, near, out)
 
     facility_rows = inference._facility_rows
@@ -695,6 +711,29 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     assert [step for step, _ in calls] == list(range(1, 32))
     for (_, before), (step, after) in itertools.pairwise(calls):
         assert np.isin(after, before).all(), step
+
+
+def test_heldout_evaluation_holds_one_distance_matrix():
+    """On held-out-like blobs, evaluation holds the m x m distance matrix
+    and no other buffer of its size: its ``tracemalloc`` peak stays under
+    one m x m float64 matrix plus 4 MiB. Greedy sums a full step's rows a
+    block at a time through one buffer, and so allocates under 1 MiB beyond
+    its input."""
+    batch, y = heldout_blobs()
+    matrix = 1280 * 1280 * 8
+    tracemalloc.start()
+    try:
+        evaluate_embeddings(batch, y, (1, 4))
+        _, peak = tracemalloc.get_traced_memory()
+        dist = pairwise_distances(batch)
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        greedy_inference(dist, y, 0.0)
+        _, greedy_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix + 4 * 2**20, peak
+    assert greedy_peak - held < 2**20, greedy_peak - held
 
 
 def test_refinement_scores_each_segment_of_a_sweep_in_one_margin_call():
