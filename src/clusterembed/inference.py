@@ -75,18 +75,34 @@ there. The cluster pool scores a candidate by its cost of serving its
 position's cluster under the labels the sweep starts from, summed once
 per sweep by ``facility._group_costs``, O(sum of squared cluster sizes);
 at gamma = 0 that is the whole score, and no row is read. The whole-batch
-pool, and every pool with the margin, reads each point's nearest other
-medoid from ``_two_nearest``, O(m * C log C), built when a call first
-needs it and dropped when a swap is installed (few positions install
-one), then O(m) per position and per candidate row. With the margin, a
-refinement call finds its moves from an (n, m) mask.
+pool, and every pool that scores margins, reads each point's nearest
+other medoid from ``_two_nearest``, O(m * C log C), built when a call
+first needs it and dropped when a swap is installed (few positions
+install one), then O(m) per position and per candidate row. A refinement
+call that scores margins finds its moves from an (n, m) mask.
 
-Margins. A greedy step after step 0, and a refinement call, score their
-margins in one ``SwapMargins`` call, one row group per position. It
-counts only the points a candidate moves: O(moves log moves + G * C * C
-+ n * C) for n rows in G groups, beyond O(G * m) for the bases. Each row
-has the bits of the scalar ``margin`` of its labels, exactly 1 - ``nmi``,
-so maxima and ties are the scalar ones.
+Margins. A greedy step after step 0, and a refinement call, that the
+facility part does not decide (below) score their margins in one
+``SwapMargins`` call, one row group per position. It counts only the
+points a candidate moves: O(moves log moves + G * C * C + n * C) for n
+rows in G groups, beyond O(G * m) for the bases. Each row has the bits
+of the scalar ``margin`` of its labels, exactly 1 - ``nmi``, so maxima
+and ties are the scalar ones.
+
+Decided steps and calls. A margin lies in [0, 1], so where ``_rivals``
+holds no candidate but the first maximum of the facility part, no margin
+can change the pick. Such a greedy step is decided, O(n) for its
+n candidates: it picks that maximum with no ``SwapMargins`` call and
+keeps its position, base labels, the pick's moves (the ``_serves`` mask
+that updates the labels) and facility part, O(m). After the last step
+one ``SwapMargins`` call, one single-row group per decided step, adds
+their margins to the trace: O(moves + D * C * C + D * m) for D decided
+steps. A refinement call whose positions up to the first that swaps are
+all decided installs from the facility part alone, O(n) for n rows:
+no ``SwapMargins`` call, and in the cluster pool no ``_two_nearest``;
+the whole-batch pool still reads it for the facility part, but builds no
+(n, m) mask of moves. A nan maximum, or another candidate within gamma
+of it, leaves a step or call undecided, scored as above.
 
 Refinement starts from the labels and A(S) of its seed and, after each
 sweep that changes the set, makes one ``label_medoids`` call (one
@@ -223,6 +239,17 @@ def _swap_scores(
     return facility + gamma * margins(other_pos, pos, np.flatnonzero(takes), group)
 
 
+def _rivals(facility: np.ndarray, top: np.ndarray | float, gamma: float) -> np.ndarray:
+    """The candidates whose margin could lift their score to ``top``, the
+    greatest facility part of their group (nan if any is nan): where
+    fl(F_c + gamma) >= ``top``. The group's first maximum is one of them
+    unless it is nan. Where it is the only one, the margin cannot change
+    the pick: fl(gamma * M) lies in [0, gamma] for a margin M in [0, 1]
+    and rounding is monotone, so every other score fl(F_c + fl(gamma *
+    M_c)) <= fl(F_c + gamma) < ``top`` <= the maximum's own score."""
+    return facility + gamma >= top
+
+
 def _group_argmax(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
     """Per group of consecutive ``scores`` (``group`` ascending from 0,
     each group present), the index of the group's maximum as ``np.argmax``
@@ -269,8 +296,12 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         rows = np.take(dist, idx, axis=0, out=buffer[: len(idx)], mode="clip")
         return _facility_rows(rows, best_dist, rows)
 
+    # the steps the facility part decides: position, base labels, the
+    # pick's moves and its facility part
+    deferred = []
     for step in range(num_classes):
         cands = np.flatnonzero(free)
+        decided = False
         # a gain taken from -inf is inf or nan and bounds nothing
         bounded = lazy_ok and step > 0 and bool(np.isfinite(trace[-1]))
         if bounded and step > 1:
@@ -294,9 +325,11 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
             if gamma != 0.0 and step == 0:
                 # every candidate takes every point
                 scores += gamma * margin(zeros, y_star)
-            elif gamma != 0.0:
-                scores += gamma * margins(best_pos[None], np.array([step]), moves, zeros)
             scores = scores[cands]
+            if gamma != 0.0 and step > 0:
+                decided = np.count_nonzero(_rivals(scores, scores.max(), gamma)) == 1
+                if not decided:
+                    scores += gamma * margins(best_pos[None], np.array([step]), moves, zeros)[cands]
             best = int(np.argmax(scores))
             pick, top = int(cands[best]), float(scores[best])
         if bounded:
@@ -305,7 +338,11 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         trace.append(top)
         slack = LAZY_SLACK * abs(trace[0])
         free[pick] = False
-        best_pos[_serves(dist[pick], step, best_dist, best_pos)] = step
+        takes = _serves(dist[pick], step, best_dist, best_pos)
+        if decided:
+            # A(S) is the facility part plus the margin of these labels
+            deferred.append((step, best_pos.copy(), np.flatnonzero(takes), top))
+        best_pos[takes] = step
         np.minimum(best_dist, dist[pick], out=best_dist)
         if gamma != 0.0 and step + 1 < num_classes:
             # the moves of position step + 1, which only shrink after step 0
@@ -316,6 +353,14 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
                 keep = _serves(np.take(dist, moves), step + 1, best_dist[point], best_pos[point])
                 moves = moves[keep]
 
+    if deferred:
+        # the decided steps' margins in one call, one group per step
+        steps, bases, takes, tops = zip(*deferred)
+        moves = np.concatenate([g * m + t for g, t in enumerate(takes)])
+        group = np.arange(len(steps))
+        lifts = gamma * margins(np.array(bases), np.array(steps), moves, group)
+        for step, value in zip(steps, np.array(tops) + lifts):
+            trace[step] = float(value)
     # the running state is ``assign``'s labels and the last score is A(S)
     return InferenceResult(
         medoids=tuple(chosen), assignment=best_pos, objective=trace[-1], trace=trace
@@ -441,19 +486,29 @@ def pam_refine(
             calls = _scoring_calls(current.assignment, medoids, first, candidate_pool)
             first = num_classes
             for ks, group, cands in calls:
-                surrogate = None
+                held = np.asarray(medoids)[ks]
                 if candidate_pool == "cluster":
                     # a candidate is a point of its position's cluster or
                     # that position's medoid
                     pos = ks[group]
-                    own = cands == np.asarray(medoids)[pos]
-                    surrogate = -np.where(own, within[m + pos], within[cands])
-                scores = surrogate
-                if surrogate is None or gamma != 0.0:  # else the surrogate is the score
+                    facility = -np.where(cands == held[group], within[m + pos], within[cands])
+                else:
                     nearest = nearest or _two_nearest(dist, medoids)
-                    scores = _swap_scores(dist, gamma, margins, nearest, cands, group, ks, surrogate)
-                picks = cands[_group_argmax(scores, group)]
-                swapped = np.flatnonzero(picks != np.asarray(medoids)[ks])
+                    facility = _swap_scores(dist, 0.0, None, nearest, cands, group, ks)
+                at = _group_argmax(facility, group)
+                if gamma != 0.0:
+                    # the margin is scored unless the facility part decides
+                    # every position up to the first that swaps
+                    rivals = group[_rivals(facility, facility[at][group], gamma)]
+                    undecided = np.bincount(rivals, minlength=ks.size) != 1
+                    if undecided[np.argmax(undecided | (cands[at] != held))]:
+                        nearest = nearest or _two_nearest(dist, medoids)
+                        scores = _swap_scores(
+                            dist, gamma, margins, nearest, cands, group, ks, facility
+                        )
+                        at = _group_argmax(scores, group)
+                picks = cands[at]
+                swapped = np.flatnonzero(picks != held)
                 if swapped.size:
                     k = int(ks[swapped[0]])
                     medoids[k] = int(picks[swapped[0]])
