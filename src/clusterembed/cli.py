@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         # a diverging run ends in one error line, not numpy's warnings first
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

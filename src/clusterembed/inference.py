@@ -21,7 +21,8 @@ medoids.
 Labels. Greedy and refinement share one label space: medoid positions
 0..C-1, and C for no medoid, at cost inf. Greedy starts every point at
 C, and ``_two_nearest`` appends it as a row, so no base label passed to
-``SwapMargins`` is the position being scored.
+``SwapMargins`` is the position being scored: the points a candidate
+moves form a cluster of their own, and no position is passed.
 
 Greedy (m points) makes C steps and keeps each point's nearest chosen
 medoid as running state, O(m) per step. Its one buffer holds a block of
@@ -71,23 +72,30 @@ at a time, in order, against the current set, so medoids, traces and
 ties are those of scoring one position at a time. A segment is scored
 in the calls ``_scoring_calls`` yields; the cluster pool has about m
 candidates in all, so a sweep that installs s swaps makes O(s + 1) calls
-there. The cluster pool scores a candidate by its cost of serving its
-position's cluster under the labels the sweep starts from, summed once
-per sweep by ``facility._group_costs``, O(sum of squared cluster sizes);
-at gamma = 0 that is the whole score, and no row is read. The whole-batch
-pool, and every pool that scores margins, reads each point's nearest
-other medoid from ``_two_nearest``, O(m * C log C), built when a call
-first needs it and dropped when a swap is installed (few positions
-install one), then O(m) per position and per candidate row. A refinement
-call that scores margins finds its moves from an (n, m) mask.
+there. A call's scores are built from one piece per fact:
+
+- the facility part. The cluster pool takes a candidate's cost of
+  serving its position's cluster under the labels the sweep starts from,
+  summed once per sweep by ``facility._group_costs``, O(sum of squared
+  cluster sizes); at gamma = 0 that is the whole score, and no row is
+  read. The whole-batch pool takes ``_facility_rows`` of the candidates'
+  rows against each point's nearest other medoid.
+- each point's nearest medoid at another position than the scored one,
+  ``_others``: level 1 of the ``_two_nearest`` table where level 0 is
+  that position, else level 0. The table, O(m * C log C), is built when
+  a call first needs it and dropped when a swap is installed (few
+  positions install one); then O(m) per position and per candidate row.
+- the margins, ``_swap_margins``: an (n, m) ``_serves`` mask of the
+  points each candidate row takes from those nearest others, then one
+  ``SwapMargins`` call.
 
 Margins. A greedy step after step 0, and a refinement call, that the
 facility part does not decide (below) score their margins in one
-``SwapMargins`` call, one row group per position. It counts only the
-points a candidate moves: O(moves log moves + G * C * C + n * C) for n
-rows in G groups, beyond O(G * m) for the bases. Each row has the bits
-of the scalar ``margin`` of its labels, exactly 1 - ``nmi``, so maxima
-and ties are the scalar ones.
+``SwapMargins`` call, one row group per position, each with its base
+labels. It counts only the points a candidate moves: O(moves log moves +
+G * C * C + n * C) for n rows in G groups, beyond O(G * m) for the bases.
+Each row has the bits of the scalar ``margin`` of its labels, exactly
+1 - ``nmi``, so maxima and ties are the scalar ones.
 
 Decided steps and calls. A margin lies in [0, 1], so where ``_rivals``
 holds no candidate but the first maximum of the facility part, no margin
@@ -201,42 +209,28 @@ def _facility_rows(rows: np.ndarray, near: np.ndarray | None, out: np.ndarray) -
     return -np.minimum(rows, near, out=out[: len(rows)]).sum(axis=1)
 
 
-def _swap_scores(
-    dist: np.ndarray,
-    gamma: float,
-    margins: SwapMargins | None,
-    nearest: tuple[np.ndarray, np.ndarray],
-    cands: np.ndarray,
-    group: np.ndarray,
-    pos: np.ndarray,
-    facility: np.ndarray | None = None,
-) -> np.ndarray:
-    """A(S) for each medoid set S that puts candidate ``cands[r]`` at
-    position ``pos[g]``, g = ``group[r]``, of the medoid set whose two
-    nearest medoids of each point are ``nearest`` (``_two_nearest``). A
-    group is one scored position, and its other medoids serve each point
-    from the point's nearest medoid at another position: level 1 of the
-    table where level 0 is the scored position, else level 0.
+def _others(nearest: tuple[np.ndarray, np.ndarray], ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest medoid at a position other than each of ``ks``,
+    read from ``nearest`` (``_two_nearest``): (len(ks), m) costs and
+    positions, level 1 of the table where level 0 is that position, else
+    level 0."""
+    own = nearest[1][0] == ks[:, None]
+    return tuple(np.where(own, level[1], level[0]) for level in nearest)
 
-    Labels follow ``assign``, through ``_serves``.
-    ``margins`` scores against the true classes when gamma != 0, all
-    groups in one call.
-    ``facility`` replaces the exact facility part, one value per candidate.
-    """
-    own = nearest[1][0] == pos[:, None]
-    other_min, other_pos = (np.where(own, level[1], level[0]) for level in nearest)
-    near_min = other_min[group]
-    # row c holds the cost of serving each point from candidate c
-    cand_dist = dist[cands]
-    if gamma != 0.0:
-        # the points each candidate takes from the other medoids
-        takes = _serves(cand_dist, pos[group, None], near_min, other_pos[group])
-    if facility is None:
-        # in place: ``takes`` above was the last reader of the raw rows
-        facility = _facility_rows(cand_dist, near_min, cand_dist)
-    if gamma == 0.0:
-        return facility
-    return facility + gamma * margins(other_pos, pos, np.flatnonzero(takes), group)
+
+def _swap_margins(
+    dist: np.ndarray, margins: SwapMargins, nearest: tuple[np.ndarray, np.ndarray],
+    cands: np.ndarray, group: np.ndarray, ks: np.ndarray,
+) -> np.ndarray:
+    """The margin of each medoid set that puts candidate ``cands[r]`` at
+    position ``ks[g]``, g = ``group[r]``, of the set whose two nearest
+    medoids of each point are ``nearest``, all groups in one call: the
+    candidate takes the points it serves (``_serves``) against their
+    nearest medoid at another position (``_others``), which keeps the
+    rest."""
+    other_min, other_pos = _others(nearest, ks)
+    takes = _serves(dist[cands], ks[group, None], other_min[group], other_pos[group])
+    return margins(other_pos, np.flatnonzero(takes), group)
 
 
 def _rivals(facility: np.ndarray, top: np.ndarray | float, gamma: float) -> np.ndarray:
@@ -329,7 +323,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
             if gamma != 0.0 and step > 0:
                 decided = np.count_nonzero(_rivals(scores, scores.max(), gamma)) == 1
                 if not decided:
-                    scores += gamma * margins(best_pos[None], np.array([step]), moves, zeros)[cands]
+                    scores += gamma * margins(best_pos[None], moves, zeros)[cands]
             best = int(np.argmax(scores))
             pick, top = int(cands[best]), float(scores[best])
         if bounded:
@@ -357,8 +351,7 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
         # the decided steps' margins in one call, one group per step
         steps, bases, takes, tops = zip(*deferred)
         moves = np.concatenate([g * m + t for g, t in enumerate(takes)])
-        group = np.arange(len(steps))
-        lifts = gamma * margins(np.array(bases), np.array(steps), moves, group)
+        lifts = gamma * margins(np.array(bases), moves, np.arange(len(steps)))
         for step, value in zip(steps, np.array(tops) + lifts):
             trace[step] = float(value)
     # the running state is ``assign``'s labels and the last score is A(S)
@@ -383,11 +376,11 @@ def _scoring_calls(
         is_cand = np.ones((ks.size, assignment.size), dtype=bool)
     is_cand[:, medoids] = False
     is_cand[np.arange(ks.size), medoids[first:]] = True
-    scored = np.count_nonzero(is_cand, axis=1) > 1
-    ks = ks[scored]
-    group, cands = np.nonzero(is_cand[scored])
+    counts = np.count_nonzero(is_cand, axis=1)
+    ks, is_cand, counts = ks[counts > 1], is_cand[counts > 1], counts[counts > 1]
+    group, cands = np.nonzero(is_cand)
     # the rows through each position
-    through = np.cumsum(np.bincount(group, minlength=ks.size))
+    through = np.cumsum(counts)
     lo = done = 0
     while lo < ks.size:
         hi = min(int(np.searchsorted(through, done + assignment.size)) + 1, ks.size)
@@ -490,11 +483,13 @@ def pam_refine(
                 if candidate_pool == "cluster":
                     # a candidate is a point of its position's cluster or
                     # that position's medoid
-                    pos = ks[group]
-                    facility = -np.where(cands == held[group], within[m + pos], within[cands])
+                    facility = -np.where(cands == held[group], within[m + ks[group]], within[cands])
                 else:
+                    # each point is served by the candidate or by its nearest
+                    # medoid at another position, whichever is nearer
                     nearest = nearest or _two_nearest(dist, medoids)
-                    facility = _swap_scores(dist, 0.0, None, nearest, cands, group, ks)
+                    rows = dist[cands]
+                    facility = _facility_rows(rows, _others(nearest, ks)[0][group], rows)
                 at = _group_argmax(facility, group)
                 if gamma != 0.0:
                     # the margin is scored unless the facility part decides
@@ -503,10 +498,8 @@ def pam_refine(
                     undecided = np.bincount(rivals, minlength=ks.size) != 1
                     if undecided[np.argmax(undecided | (cands[at] != held))]:
                         nearest = nearest or _two_nearest(dist, medoids)
-                        scores = _swap_scores(
-                            dist, gamma, margins, nearest, cands, group, ks, facility
-                        )
-                        at = _group_argmax(scores, group)
+                        lifts = _swap_margins(dist, margins, nearest, cands, group, ks)
+                        at = _group_argmax(facility + gamma * lifts, group)
                 picks = cands[at]
                 swapped = np.flatnonzero(picks != held)
                 if swapped.size:

@@ -144,9 +144,10 @@ def margin(y: np.ndarray, y_star: np.ndarray) -> float:
 
 class SwapMargins:
     """``margin`` against one ``y_star`` of labelings that move some points
-    of a base labeling into one cluster: a candidate medoid's labels. Holds
-    what every call shares, ``_xlogx_table(m)`` and the class counts, so an
-    inference routine builds one per call.
+    of a base labeling into a cluster of their own, one the base leaves
+    empty: a candidate medoid's labels. Holds what every call shares,
+    ``_xlogx_table(m)`` and the class counts, so an inference routine
+    builds one per call.
 
     Labels are inference's, not any integers: ``y_star`` holds classes
     0..K-1, each present, as ``facility._check_labels`` returns them, and
@@ -154,13 +155,13 @@ class SwapMargins:
     each base's joint table is (K + 1) x K, and no id is relabelled. A
     float or bool ``y_star`` is refused, not cast.
 
-    One call scores rows of several groups, each with its own base and
-    target position: greedy's step is one group, and a refinement sweep
-    passes one group per medoid position. A row's moves are the points it
-    takes into its group's position, given as flat indices ``r * m + i``.
-    A call costs O(moves log moves + G * K * K + n * K) for n rows in G
-    groups, beyond O(G * m) to count the bases; no n * K * K table is
-    built.
+    One call scores rows of several groups, each with its own base:
+    greedy's step is one group, and a refinement sweep passes one group
+    per medoid position. A row's moves are the points its candidate takes,
+    given as flat indices ``r * m + i``. NMI does not read the moved
+    points' cluster id, so no position is passed. A call costs O(moves log
+    moves + G * K * K + n * K) for n rows in G groups, beyond O(G * m) to
+    count the bases; no n * K * K table is built.
     """
 
     def __init__(self, y_star: np.ndarray) -> None:
@@ -172,22 +173,21 @@ class SwapMargins:
         self.xlogx = _xlogx_table(self.truth.size)
         self.s_classes = self.xlogx[classes].sum()
 
-    def __call__(
-        self, base: np.ndarray, pos: np.ndarray, moves: np.ndarray, group: np.ndarray
-    ) -> np.ndarray:
+    def __call__(self, base: np.ndarray, moves: np.ndarray, group: np.ndarray) -> np.ndarray:
         """``margin(labels_r, y_star)`` bit for bit, for every row r of
         ``group``: ``labels_r`` is ``base[g]``, g = ``group[r]``, with the
-        points i of the moves ``r * m + i`` moved to ``pos[g]``. ``moves``
-        are distinct flat indices into an (n, m) array, in any order, such as
-        ``np.flatnonzero`` of a bool mask of the points each row takes.
-        ``base`` is (G, m) and ``pos`` (G,); each ``pos[g]`` is a position
-        0..K-1 and no ``base[g]`` label is it.
+        points i of the moves ``r * m + i`` moved into a cluster of their
+        own, under any id that no ``base[g]`` label is (inference's scored
+        position). ``moves`` are distinct flat indices into an (n, m) array,
+        in any order, such as ``np.flatnonzero`` of a bool mask of the
+        points each row takes. ``base`` is (G, m); there is no position
+        argument.
 
         Each group's joint count of its base labels is built once. A row
         changes it only where it moves points: they leave their (base
-        cluster, class) cells and join the (``pos[g]``, class) cells, a
-        cluster its base leaves empty. The moves are sorted by (row, cell),
-        so each touched cell of a row is one run, and the joint sum of
+        cluster, class) cells and join their own cluster's, counted apart,
+        so that cluster's id is never read. The moves are sorted by (row,
+        cell), so each touched cell of a row is one run, and the joint sum of
         x ln x changes by the touched cells' terms alone. Cluster sizes and
         the joining cluster's class counts are (n, K + 1) and (n, K) tables.
         """

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import fields
@@ -372,6 +373,16 @@ def test_version_flag(capsys):
 
 GENERATE_TINY = ["generate", "--classes", "3", "--per-class", "2", "--dim", "2"]
 EVALUATE = ["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}"]
+# a 30,000 x 30,000 distance matrix, 6.7 GiB, run under a 2 GiB address space
+OUT_OF_MEMORY = [
+    "inspect", "--checkpoint", "{ckpt}", "--data", "{data}", "--m", "30000", "--class-ratio", "0.0001"
+]
+
+
+def limit_address_space():
+    """Cap the calling process's address space at 2 GiB: a ``preexec_fn``,
+    so the cap holds in the child alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
 
 @pytest.mark.parametrize(
@@ -392,16 +403,19 @@ EVALUATE = ["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}"]
         ["inspect", "--checkpoint", "{ckpt}", "--data", "{data}", "--class-ratio", "1e308"],
         ["train", "--data", "{data}", "--checkpoint", "{out}", "--batch-size", "20",
          "--iterations", "12", "--gamma-decay-rate", "1e308"],
+        OUT_OF_MEMORY,
     ],
     ids=["csv-header", "checkpoint-as-data", "csv-as-checkpoint", "recall-k-300",
          "train-fraction-0.99", "inspect-m-4", "hidden-dims-0", "center-scale-overflow",
          "std-overflow", "diverging-npairs", "train-class-ratio-overflow",
-         "inspect-class-ratio-overflow", "gamma-decay-rate-above-1"],
+         "inspect-class-ratio-overflow", "gamma-decay-rate-above-1", "inspect-out-of-memory"],
 )
 def test_bad_input_prints_one_error_line(tmp_path, data_csv, args):
     """Run in a fresh process, as a user would: each bad file or flag exits
     with 1 or 2, writes nothing, and prints exactly one ``error:`` line to
-    stderr, with no traceback and no numpy warning before it."""
+    stderr, with no traceback and no numpy warning before it. The
+    out-of-memory case limits only its own process's address space, so
+    the matrix it asks for is refused, never allocated."""
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(init_params([3, 8, 4], True, np.random.default_rng(0)), ckpt)
     bad = tmp_path / "bad.csv"
@@ -412,7 +426,8 @@ def test_bad_input_prints_one_error_line(tmp_path, data_csv, args):
     inherited = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, inherited]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "clusterembed.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "clusterembed.cli", *argv], capture_output=True, text=True, env=env,
+        preexec_fn=limit_address_space if args is OUT_OF_MEMORY else None,
     )
     assert proc.returncode in (1, 2), proc.stderr
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1, proc.stderr

@@ -11,7 +11,9 @@ from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
 from clusterembed.facility import assign, facility_score, oracle_score
 from clusterembed.inference import (
-    _swap_scores,
+    _facility_rows,
+    _others,
+    _swap_margins,
     _two_nearest,
     brute_force_inference,
     greedy_inference,
@@ -444,6 +446,19 @@ def test_candidate_scoring_matches_reference_loops_at_evaluation_scale(
         )
 
 
+def swap_scores(dist, y, gamma, medoids, cands, group, ks):
+    """A(S) of each medoid set that puts candidate ``cands[r]`` at position
+    ``ks[group[r]]`` of ``medoids``, from the pieces the whole-batch pool
+    scores it by: the facility part against each point's nearest medoid at
+    another position (``_others``), plus gamma times ``_swap_margins``."""
+    nearest = _two_nearest(dist, medoids)
+    rows = dist[cands]
+    facility = _facility_rows(rows, _others(nearest, ks)[0][group], rows)
+    if gamma == 0.0:
+        return facility
+    return facility + gamma * _swap_margins(dist, SwapMargins(y), nearest, cands, group, ks)
+
+
 def test_candidate_scores_equal_objective_of_each_swapped_set():
     """Every candidate's score is A(S) of the set with the candidate placed
     at the position, including appends and ties between duplicate points,
@@ -460,11 +475,9 @@ def test_candidate_scores_equal_objective_of_each_swapped_set():
         medoids = [int(v) for v in rng.permutation(m)[: 1 + i % num_classes]]
         pos = int(rng.integers(0, min(len(medoids) + 1, num_classes)))
         cands = np.delete(np.arange(m), medoids[:pos] + medoids[pos + 1 :])
-        nearest = _two_nearest(dist, medoids)
         one = np.zeros(cands.size, dtype=np.intp)
         for gamma in (0.0, 0.5):
-            margins = SwapMargins(y) if gamma else None
-            scores = _swap_scores(dist, gamma, margins, nearest, cands, one, np.array([pos]))
+            scores = swap_scores(dist, y, gamma, medoids, cands, one, np.array([pos]))
             for cand, score in zip(cands, scores):
                 swapped = medoids[:pos] + [int(cand)] + medoids[pos + 1 :]
                 want = label_medoids(dist, swapped, y, gamma).objective
@@ -483,19 +496,17 @@ def test_grouped_candidate_scores_equal_one_group_calls():
             dist = pairwise_distances(EmbeddingBatch(rng.integers(0, 3, size=(m, 2)) * 1.0))
         num_classes = int(y.max()) + 1
         medoids = [int(v) for v in rng.permutation(m)[:num_classes]]
-        nearest = _two_nearest(dist, medoids)
         ks = np.arange(num_classes)
         is_cand = np.ones((num_classes, m), dtype=bool)
         is_cand[:, medoids] = False
         is_cand[ks, medoids] = True
         group, cands = np.nonzero(is_cand)
         for gamma in (0.0, 0.5):
-            margins = SwapMargins(y) if gamma else None
-            got = _swap_scores(dist, gamma, margins, nearest, cands, group, ks)
+            got = swap_scores(dist, y, gamma, medoids, cands, group, ks)
             for k in ks:
                 rows = group == k
                 one = np.zeros(rows.sum(), dtype=np.intp)
-                want = _swap_scores(dist, gamma, margins, nearest, cands[rows], one, ks[k : k + 1])
+                want = swap_scores(dist, y, gamma, medoids, cands[rows], one, ks[k : k + 1])
                 assert got[rows].tolist() == want.tolist(), (i, k, gamma)
 
 
@@ -662,10 +673,11 @@ def test_two_nearest_table_equals_assign_and_nearest_other_loops(instances):
     rng = np.random.default_rng(46)
     for i, (dist, _) in zip(range(10), instances()):
         medoids = [int(v) for v in rng.permutation(len(dist))[: 1 + i % 5]]
-        costs, at = _two_nearest(dist, medoids)
-        assert np.array_equal(at[0], assign(dist, medoids)), i
+        nearest = _two_nearest(dist, medoids)
+        assert np.array_equal(nearest[1][0], assign(dist, medoids)), i
+        others = _others(nearest, np.arange(len(medoids)))
         for pos in range(len(medoids)):
-            other_min, other_pos = (np.where(at[0] == pos, lv[1], lv[0]) for lv in (costs, at))
+            other_min, other_pos = (level[pos] for level in others)
             want_min, want_pos = nearest_other_reference(dist, medoids, pos)
             assert np.array_equal(other_min, want_min), (i, pos)
             if len(medoids) == 1:
@@ -682,6 +694,41 @@ def heldout_blobs():
     return EmbeddingBatch(emb), y
 
 
+def recorded_margin_calls(run):
+    """Each ``SwapMargins`` call ``run()`` makes, as (steps, base, moves,
+    group, values), with greedy's steps read from call order. Greedy runs
+    ``_rivals`` once per step after step 0, and a step it leaves undecided
+    makes a call of its own next: one group of m rows, whose step is the
+    number of ``_rivals`` runs before it. A call of any other shape,
+    greedy's last, holds the steps that made none, in order. In
+    refinement the steps mean nothing."""
+    score, rivals = SwapMargins.__call__, inference._rivals
+    runs, calls = [], []
+
+    def counted(*args):
+        runs.append(len(runs) + 1)
+        return rivals(*args)
+
+    def recorded(margins, base, moves, group):
+        got = score(margins, base, moves, group)
+        own = len(base) == 1 and group.size == base.shape[1]
+        calls.append(([len(runs)] if own else None, base.copy(), moves, group, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_rivals", counted)
+        patch.setattr(SwapMargins, "__call__", recorded)
+        run()
+    own = [steps[0] for steps, *_ in calls if steps]
+    rest = [step for step in runs if step not in own]
+    return [(steps or rest, *call) for steps, *call in calls]
+
+
+def margin_calls(run):
+    """The ``SwapMargins`` calls ``run()`` makes, as (steps, rows) pairs."""
+    return [(steps, group.size) for steps, _, _, group, _ in recorded_margin_calls(run)]
+
+
 def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     """On held-out-like blobs (m = 1,280, 32 classes) steps 0 and 1 sum
     every row and later steps only those of candidates whose bound reaches
@@ -692,7 +739,10 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     ``SwapMargins`` call. Every later step is scored once: in a call of
     its own, one row per point, over a subset of the moves of the step
     scored before it, or, where the facility part alone decides the step,
-    in one last call that holds one group per such step."""
+    in one last call that holds one group per such step. The steps read
+    from call order agree with the base labels: on these blobs every
+    chosen medoid serves itself and, after step 0, every point is served,
+    so a step's greatest base label is the step before it."""
     batch, y = heldout_blobs()
     dist = pairwise_distances(batch)
     rows = [0] * 32
@@ -707,20 +757,14 @@ def test_lazy_greedy_scores_few_rows_at_gamma_zero(monkeypatch):
     assert rows[:2] == [1280, 1280]
     assert sum(rows) < 0.25 * sum(range(1280 - 31, 1281))
 
-    score = SwapMargins.__call__
-    calls = []
-
-    def recorded(margins, base, pos, moves, group):
-        calls.append((pos.tolist(), moves, group.size))
-        return score(margins, base, pos, moves, group)
-
-    monkeypatch.setattr(SwapMargins, "__call__", recorded)
     dist, y = dist[:129, :129], np.arange(129) % 32
-    greedy_inference(dist, y, 1.0)
-    own = [(pos[0], moves) for pos, moves, size in calls if size == 129]
-    decided = [pos for pos, _, size in calls if size != 129]
+    calls = recorded_margin_calls(lambda: greedy_inference(dist, y, 1.0))
+    for steps, base, *_ in calls:
+        assert [int(labels.max()) + 1 for labels in base] == steps, steps
+    own = [(steps[0], moves) for steps, _, moves, group, _ in calls if group.size == 129]
+    decided = [steps for steps, _, _, group, _ in calls if group.size != 129]
     assert own and decided, calls
-    assert decided == [calls[-1][0]] and len(decided[0]) == calls[-1][2]
+    assert decided == [calls[-1][0]] and len(decided[0]) == calls[-1][3].size
     assert sorted(step for step, _ in own) == [step for step, _ in own]
     assert sorted([step for step, _ in own] + decided[0]) == list(range(1, 32))
     for (_, before), (step, after) in itertools.pairwise(own):
@@ -761,9 +805,9 @@ def test_refinement_scores_each_segment_of_a_sweep_in_one_margin_call():
     score = SwapMargins.__call__
     rows = []
 
-    def counted(self, *args):
-        rows.append(len(args[3]))
-        return score(self, *args)
+    def counted(self, base, moves, group):
+        rows.append(group.size)
+        return score(self, base, moves, group)
 
     calls = sweeps = 0
     for seed in range(6):
@@ -853,23 +897,24 @@ SQUARE_INSTANCES_SEED = int(
 
 def contract_checked(call):
     """``SwapMargins.__call__`` that first asserts the labels inference
-    must pass it: dense classes 0..K-1, and per group of rows a position
-    ``pos[g]`` below K and one base label per point in 0..K (K: no
-    medoid), none of them ``pos[g]``. Every row belongs to a group, and
-    the moves are distinct flat indices of (row, point) pairs."""
+    must pass it: dense classes 0..K-1, and per group of rows one base
+    label per point in 0..K (K: no medoid) that leaves some position below
+    K empty, a cluster of their own for the moved points. Every row
+    belongs to a group, and the moves are distinct flat indices of (row,
+    point) pairs."""
 
-    def checked(margins, base, pos, moves, group):
+    def checked(margins, base, moves, group):
         k, m = margins.num_classes, margins.truth.size
         assert np.array_equal(np.unique(margins.truth), np.arange(k))
-        assert base.dtype.kind == "i" and base.shape == (len(pos), m)
-        assert group.ndim == 1 and ((0 <= group) & (group < len(pos))).all()
+        assert base.dtype.kind == "i" and base.ndim == 2 and base.shape[1] == m
+        assert group.ndim == 1 and ((0 <= group) & (group < len(base))).all()
         assert moves.dtype.kind == "i" and ((0 <= moves) & (moves < group.size * m)).all()
         assert np.unique(moves).size == moves.size
-        for g, p in enumerate(pos):
-            assert 0 <= p < k, (pos, g)
-            assert ((0 <= base[g]) & (base[g] <= k) & (base[g] != p)).all(), (base[g], p)
+        for labels in base:
+            assert ((0 <= labels) & (labels <= k)).all(), labels
+            assert np.setdiff1d(np.arange(k), labels).size > 0, labels
         checked.calls += 1
-        return call(margins, base, pos, moves, group)
+        return call(margins, base, moves, group)
 
     checked.calls = 0
     return checked
@@ -916,27 +961,21 @@ def test_greedy_carries_the_moves_of_the_dense_serving_rule(instance):
     pick. Either way a row's moves are those of the dense rule: the points
     where ``_serves`` says the row's candidate, placed at the step's
     position, would serve them against the medoids chosen so far; and the
-    row's value is ``margin``'s of those labels."""
+    row's value is ``margin``'s of those labels, the moved points labelled
+    by the step. Steps are read from call order, and each group's base
+    labels must be those of its step."""
     dist, y = instance
-    score = SwapMargins.__call__
-    calls = []
-
-    def recorded(margins, base, pos, moves, group):
-        got = score(margins, base, pos, moves, group)
-        calls.append((base.copy(), pos.tolist(), moves, group, got))
-        return got
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SwapMargins, "__call__", recorded)
-        result = greedy_inference(dist, y, 0.5)
+    calls = recorded_margin_calls(lambda: greedy_inference(dist, y, 0.5))
+    result = greedy_inference(dist, y, 0.5)
     m, num_classes = len(y), int(y.max()) + 1
-    assert sorted(step for call in calls for step in call[1]) == list(range(1, num_classes))
-    for base, pos, moves, group, got in calls:
-        own = len(pos) == 1 and group.size == m
+    assert sorted(step for steps, *_ in calls for step in steps) == list(range(1, num_classes))
+    for steps, base, moves, group, got in calls:
+        own = len(base) == 1 and group.size == m
+        assert len(steps) == len(base), steps
         takes = np.zeros(group.size * m, dtype=bool)
         takes[moves] = True
         for r, (g, row) in enumerate(zip(group, takes.reshape(-1, m))):
-            step = pos[g]
+            step = steps[g]
             chosen = list(result.medoids[:step])
             assert np.array_equal(base[g], assign(dist, chosen)), step
             best_dist = np.where(base[g] == num_classes, np.inf, dist[chosen].min(axis=0))
@@ -961,21 +1000,6 @@ def test_inference_rejects_a_gamma_that_is_not_finite_and_nonnegative(gamma):
     ):
         with pytest.raises(InvalidInputError, match="gamma"):
             run()
-
-
-def margin_calls(run):
-    """The ``SwapMargins`` calls ``run()`` makes, as (positions, rows) pairs."""
-    score = SwapMargins.__call__
-    calls = []
-
-    def recorded(margins, base, pos, moves, group):
-        calls.append((pos.tolist(), group.size))
-        return score(margins, base, pos, moves, group)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SwapMargins, "__call__", recorded)
-        run()
-    return calls
 
 
 def test_the_facility_part_decides_separated_blobs_without_margin_calls():

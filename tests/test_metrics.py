@@ -30,12 +30,12 @@ def dense(y):
     return inv
 
 
-def one_group(scorer, base, pos, takes):
+def one_group(scorer, base, takes):
     """``SwapMargins`` rows of one group: row r moves the points
-    ``takes[r]`` of ``base`` into position ``pos``, as a greedy step
+    ``takes[r]`` of ``base`` into a cluster of their own, as a greedy step
     scores them."""
     group = np.zeros(len(takes), dtype=np.intp)
-    return scorer(base[None], np.array([pos]), np.flatnonzero(takes), group)
+    return scorer(base[None], np.flatnonzero(takes), group)
 
 
 def test_same_partition():
@@ -171,8 +171,9 @@ def test_margin_is_one_minus_nmi():
 def test_batched_margin_matches_scalar_margin():
     """``SwapMargins`` scores each candidate row with the bits ``margin``
     gives its materialized labels, on labels as inference passes them:
-    dense classes 0..K-1, a position ``pos`` below K, and base positions
-    0..K other than ``pos``, where K stands for no medoid. Rows that take
+    dense classes 0..K-1, and base positions 0..K other than a position
+    ``pos`` below K, where K stands for no medoid; the materialized labels
+    give the moved points ``pos``. Rows that take
     nothing, every point or a whole base cluster, a base of no medoid at
     all (greedy's first step), and one-class ``y_star``. Relabelled copies
     of ``y_star`` score exactly 0.0."""
@@ -194,19 +195,19 @@ def test_batched_margin_matches_scalar_margin():
         scorer = SwapMargins(y_star)
         rows = np.where(takes, pos, base)
         want = [margin(row, y_star) for row in rows]
-        assert one_group(scorer, base, pos, takes).tolist() == want, trial
+        assert one_group(scorer, base, takes).tolist() == want, trial
         assert want == pytest.approx([1.0 - nmi_reference(r, y_star) for r in rows], abs=1e-12)
         # a copy of y_star under other base labels, as is and with one whole class moved to pos
         copy = rng.permutation(others)[y_star]
         whole = np.stack([np.zeros(m, dtype=bool), y_star == y_star[-1]])
-        assert one_group(scorer, copy, pos, whole).tolist() == [0.0, 0.0]
+        assert one_group(scorer, copy, whole).tolist() == [0.0, 0.0]
 
 
 @st.composite
 def swap_margin_calls(draw):
     """A ``SwapMargins`` call as inference makes it: dense classes of m
-    points, a position ``pos`` below their count K, a base of positions
-    0..K other than ``pos`` (K: no medoid), and n rows of moves."""
+    points, a base of positions 0..K (K: no medoid) other than a position
+    ``pos`` below K, the moved points' label, and n rows of moves."""
     m = draw(st.integers(1, 30))
     y_star = dense(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)))
     k = int(y_star.max()) + 1
@@ -223,7 +224,7 @@ def swap_margin_calls(draw):
 def test_swap_margins_rows_equal_margin_of_materialized_labels(call):
     """Every row has the bits of ``margin`` of the labels it materializes."""
     y_star, base, pos, takes = call
-    got = one_group(SwapMargins(y_star), base, pos, takes).tolist()
+    got = one_group(SwapMargins(y_star), base, takes).tolist()
     assert got == [margin(row, y_star) for row in np.where(takes, pos, base)]
 
 
@@ -231,8 +232,8 @@ def test_swap_margins_rows_equal_margin_of_materialized_labels(call):
 def grouped_swap_margin_calls(draw):
     """A ``SwapMargins`` call as a refinement sweep makes it: dense classes
     of m points, and 1 to 4 groups, each with its own position ``pos[g]``
-    below K, its own base of positions 0..K other than ``pos[g]`` and 0 to
-    4 rows of moves. Groups may be empty and rows come in any group order."""
+    below K for its moved points, its own base of positions 0..K other
+    than ``pos[g]`` and 0 to 4 rows of moves. Groups may be empty and rows come in any group order."""
     m = draw(st.integers(1, 30))
     y_star = dense(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)))
     k = int(y_star.max()) + 1
@@ -253,7 +254,7 @@ def test_grouped_swap_margins_rows_equal_margin_of_materialized_labels(call):
     ``margin`` of the labels it materializes from its own group's base and
     position."""
     y_star, base, pos, takes, group = call
-    got = SwapMargins(y_star)(base, pos, np.flatnonzero(takes), group).tolist()
+    got = SwapMargins(y_star)(base, np.flatnonzero(takes), group).tolist()
     rows = np.where(takes, pos[group, None], base[group])
     assert got == [margin(row, y_star) for row in rows]
 
@@ -309,7 +310,7 @@ def test_nmi_and_batched_margin_equal_the_scalar_reference(kind):
     for row, other in zip(folded, np.roll(folded, 1, axis=0)):
         takes = row == row[0]
         base = np.where(takes, np.where(other == row[0], k, other), row)
-        got = one_group(scorer, base, row[0], takes[None])
+        got = one_group(scorer, base, takes[None])
         assert got.tolist() == [margin(row, y_star)]
 
 
@@ -329,18 +330,14 @@ def test_batched_margin_edge_shapes():
     one_class = np.array([4, 4, 4, 4])
     base = np.array([1, 1, 1, 1])  # no medoid serves any point
     takes = np.array([[True] * 4, [False] * 4, [True, True, False, False]])
-    got = one_group(SwapMargins(dense(one_class)), base, 0, takes)
+    got = one_group(SwapMargins(dense(one_class)), base, takes)
     want = [margin(row, one_class) for row in np.where(takes, 0, base)]
     assert got.tolist() == want == [0.0, 0.0, 1.0]
     three = np.array([0, 1, 1])
-    assert one_group(SwapMargins(three), np.array([2, 0, 0]), 1, np.zeros((1, 3), bool)).tolist() == [
-        0.0
-    ]
-    assert one_group(SwapMargins(np.array([0])), np.array([1]), 0, np.array([[True], [False]])).tolist() == [
-        0.0,
-        0.0,
-    ]
-    assert one_group(SwapMargins(three), np.array([0, 2, 2]), 1, np.zeros((0, 3), bool)).shape == (0,)
+    assert one_group(SwapMargins(three), np.array([2, 0, 0]), np.zeros((1, 3), bool)).tolist() == [0.0]
+    one = SwapMargins(np.array([0]))
+    assert one_group(one, np.array([1]), np.array([[True], [False]])).tolist() == [0.0, 0.0]
+    assert one_group(SwapMargins(three), np.array([0, 2, 2]), np.zeros((0, 3), bool)).shape == (0,)
     for y, y_star in [
         (np.zeros(3, dtype=int), np.zeros(4, dtype=int)),
         (np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int)),
