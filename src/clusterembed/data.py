@@ -36,7 +36,12 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.intp)
+        labels = np.asarray(self.labels)
+        # refused rather than cast: a float id would be truncated and a bool
+        # read as 0 or 1; an empty list is float
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            raise InvalidInputError(f"class ids must be integers, got {labels.dtype}")
+        self.labels = labels.astype(np.intp, copy=False)
         if self.features.ndim != 2:
             raise InvalidInputError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):

@@ -1,7 +1,7 @@
-"""Medoid scoring: facility location objective, nearest-medoid assignment,
-and the per-class oracle score, plus what the oracle and every inference
-routine share: the one distance-matrix check, the one class-label check
-and the one within-group cost.
+"""Medoid scoring: nearest-medoid assignment and the per-class oracle
+score, plus what the oracle and every inference routine share: the one
+distance-matrix check, the one class-label check and the one within-group
+cost.
 
 All functions take a precomputed square distance matrix so that inference
 loops, which evaluate the objective many times per batch, never recompute
@@ -64,17 +64,6 @@ def _check_labels(y_star: np.ndarray, m: int) -> tuple[np.ndarray, int]:
             f"need class ids 0..K-1, each present, for {m} points; got {y_star.dtype}{y_star.shape}"
         )
     return y_star, int(y_star.max()) + 1
-
-
-def facility_score(dist: np.ndarray, medoids: Sequence[int]) -> float:
-    """Negated sum over all points of the cost ``dist[s, i]`` of serving
-    point i from its nearest medoid s.
-
-    On a distance matrix this is <= 0, and 0 only when every point
-    coincides with some medoid.
-    """
-    s = _check_medoids(dist, medoids)
-    return -float(np.sum(np.min(dist[s], axis=0)))
 
 
 def assign(dist: np.ndarray, medoids: Sequence[int]) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Over all medoid sets S of size C, one medoid per class, maximize
 
-    A(S) = facility_score(D, S) + gamma * margin(assign(D, S), y_star)
+    A(S) = -sum_i D[S[a_i], i] + gamma * margin(a, y_star),  a = assign(D, S)
 
-The margin rewards clusterings that disagree with the ground truth, so
-the maximizer is the most-violating assignment. Exact maximization is
-NP-hard: ``greedy_inference`` builds a set by best marginal benefit,
+minus each point's cost from the medoid ``assign`` labels it with, plus
+gamma times the margin of those labels. The margin rewards clusterings
+that disagree with the ground truth, so the maximizer is the
+most-violating assignment. Exact maximization is NP-hard:
+``greedy_inference`` builds a set by best marginal benefit,
 ``pam_refine`` improves it by medoid/point exchanges, and ``infer`` runs
 one after the other. ``brute_force_inference`` solves small instances
 exactly for tests. Everything is sequential and deterministic.
@@ -64,15 +66,19 @@ nearest chosen medoid, which only gets nearer: the moves are built once,
 from ``_serves`` over the whole matrix, and each later step keeps those
 that still serve, O(moves).
 
-Refinement scores a sweep's positions in segments: positions k..C-1
-together, against the medoid set as it stands. The first of them whose
-best candidate is not its medoid installs that candidate, and the
-positions after it are the next segment. Positions are still decided one
-at a time, in order, against the current set, so medoids, traces and
-ties are those of scoring one position at a time. A segment is scored
-in the calls ``_scoring_calls`` yields; the cluster pool has about m
-candidates in all, so a sweep that installs s swaps makes O(s + 1) calls
-there. A call's scores are built from one piece per fact:
+Refinement scores a sweep in calls. A call (``_next_call``) takes the
+positions from where the sweep stands, whole, until their rows reach m,
+and scores them together against the medoid set as it stands. The first
+of them whose best candidate is not its medoid installs that candidate,
+and the next call starts right after it; when none swaps, it starts after
+the call's last position. Positions are still decided one at a time, in
+order, against the current set, so medoids, traces and ties are those of
+scoring one position at a time. The cluster pool has at most m
+candidates in all, so a call holds every position left, and a sweep that
+installs s swaps makes at most s + 1 calls. The whole-batch pool has
+m - C + 1 candidates per position, so for C > 1 a call holds two
+positions, or the last alone. A call's scores are built from one piece
+per fact:
 
 - the facility part. The cluster pool takes a candidate's cost of
   serving its position's cluster under the labels the sweep starts from,
@@ -122,7 +128,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 from itertools import combinations
-from typing import Iterator, Literal, Sequence, get_args
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -162,11 +168,10 @@ class InferenceResult:
 def label_medoids(
     dist: np.ndarray, medoids: Sequence[int], y_star: np.ndarray, gamma: float
 ) -> InferenceResult:
-    """Label a medoid set with one ``assign`` call and score its A(S).
-
-    Each point's cost ``dist[s, i]`` from its medoid s is the value
-    ``facility_score`` takes as the column minimum, summed by the same
-    ``np.sum``.
+    """Label a medoid set with one ``assign`` call and score its A(S):
+    minus the sum, by one ``np.sum``, of each point's cost ``dist[s, i]``
+    from the medoid s that ``assign`` labels it with, plus gamma times the
+    margin of those labels. At gamma = 0 this is the facility total.
     """
     labels = assign(dist, medoids)
     served = dist[np.asarray(medoids)[labels], np.arange(len(dist))]
@@ -185,7 +190,7 @@ def _serves(cost: np.ndarray, pos: int, other_cost: np.ndarray, other_pos: np.nd
     return (cost < other_cost) | ((cost == other_cost) & (pos < other_pos))
 
 
-def _two_nearest(dist: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _two_nearest(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each point's nearest and second-nearest medoid in ``_serves`` order:
     (2, m) costs and positions, in the module's label space."""
     rows = np.vstack([dist[medoids], np.full(len(dist), np.inf)])
@@ -360,15 +365,16 @@ def greedy_inference(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> Infe
     )
 
 
-def _scoring_calls(
-    assignment: np.ndarray, medoids: list[int], first: int, candidate_pool: CandidatePool
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The scoring calls of positions ``first``..K-1 against ``medoids`` as
-    they stand: (positions, the group of each candidate, candidates) per
-    call, grouped by position and ascending within one. A call takes whole
-    positions until its rows reach m. Candidates follow ``pam_refine``'s
-    rule, with the cluster pool's clusters read from ``assignment``, and a
-    position whose only candidate is its own medoid is left out."""
+def _next_call(
+    assignment: np.ndarray, medoids: np.ndarray, first: int, candidate_pool: CandidatePool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sweep's next scoring call, from position ``first`` against
+    ``medoids`` as they stand: (positions, the group of each candidate,
+    candidates), grouped by position and ascending within one. The call
+    takes whole positions until their rows reach m. Candidates follow
+    ``pam_refine``'s rule, with the cluster pool's clusters read from
+    ``assignment``, and a position whose only candidate is its own medoid
+    is left out, so an empty call leaves nothing in the sweep to score."""
     ks = np.arange(first, len(medoids))
     if candidate_pool == "cluster":
         is_cand = assignment == ks[:, None]
@@ -376,17 +382,11 @@ def _scoring_calls(
         is_cand = np.ones((ks.size, assignment.size), dtype=bool)
     is_cand[:, medoids] = False
     is_cand[np.arange(ks.size), medoids[first:]] = True
-    counts = np.count_nonzero(is_cand, axis=1)
-    ks, is_cand, counts = ks[counts > 1], is_cand[counts > 1], counts[counts > 1]
-    group, cands = np.nonzero(is_cand)
-    # the rows through each position
-    through = np.cumsum(counts)
-    lo = done = 0
-    while lo < ks.size:
-        hi = min(int(np.searchsorted(through, done + assignment.size)) + 1, ks.size)
-        rows = slice(done, through[hi - 1])
-        yield ks[lo:hi], group[rows] - lo, cands[rows]
-        lo, done = hi, through[hi - 1]
+    counts = is_cand.sum(axis=1)
+    scored = np.flatnonzero(counts > 1)
+    n = int(np.searchsorted(np.cumsum(counts[scored]), assignment.size)) + 1
+    group, cands = np.nonzero(is_cand[scored[:n]])
+    return ks[scored[:n]], group, cands
 
 
 def _check_args(dist: np.ndarray, y_star: np.ndarray, gamma: float) -> tuple[float, np.ndarray, int]:
@@ -454,7 +454,7 @@ def pam_refine(
     """
     _, y_star, num_classes = _check_args(dist, y_star, gamma)
     m = dist.shape[0]
-    medoids = list(seed.medoids)
+    medoids = np.array(seed.medoids)
     if len(medoids) != num_classes:
         raise InvalidInputError(
             f"seed medoid set has size {len(medoids)}, expected {num_classes}"
@@ -476,37 +476,39 @@ def pam_refine(
             within = _group_costs(dist, np.append(np.arange(m), medoids), groups, current.assignment)
         first = 0
         while first < num_classes:
-            calls = _scoring_calls(current.assignment, medoids, first, candidate_pool)
-            first = num_classes
-            for ks, group, cands in calls:
-                held = np.asarray(medoids)[ks]
-                if candidate_pool == "cluster":
-                    # a candidate is a point of its position's cluster or
-                    # that position's medoid
-                    facility = -np.where(cands == held[group], within[m + ks[group]], within[cands])
-                else:
-                    # each point is served by the candidate or by its nearest
-                    # medoid at another position, whichever is nearer
+            ks, group, cands = _next_call(current.assignment, medoids, first, candidate_pool)
+            if not ks.size:
+                break
+            held = medoids[ks]
+            if candidate_pool == "cluster":
+                # a candidate is a point of its position's cluster or that
+                # position's medoid
+                facility = -np.where(cands == held[group], within[m + ks[group]], within[cands])
+            else:
+                # each point is served by the candidate or by its nearest
+                # medoid at another position, whichever is nearer
+                nearest = nearest or _two_nearest(dist, medoids)
+                rows = dist[cands]
+                facility = _facility_rows(rows, _others(nearest, ks)[0][group], rows)
+            at = _group_argmax(facility, group)
+            if gamma != 0.0:
+                # the margin is scored unless the facility part decides
+                # every position up to the first that swaps
+                rivals = group[_rivals(facility, facility[at][group], gamma)]
+                undecided = np.bincount(rivals, minlength=ks.size) != 1
+                if undecided[np.argmax(undecided | (cands[at] != held))]:
                     nearest = nearest or _two_nearest(dist, medoids)
-                    rows = dist[cands]
-                    facility = _facility_rows(rows, _others(nearest, ks)[0][group], rows)
-                at = _group_argmax(facility, group)
-                if gamma != 0.0:
-                    # the margin is scored unless the facility part decides
-                    # every position up to the first that swaps
-                    rivals = group[_rivals(facility, facility[at][group], gamma)]
-                    undecided = np.bincount(rivals, minlength=ks.size) != 1
-                    if undecided[np.argmax(undecided | (cands[at] != held))]:
-                        nearest = nearest or _two_nearest(dist, medoids)
-                        lifts = _swap_margins(dist, margins, nearest, cands, group, ks)
-                        at = _group_argmax(facility + gamma * lifts, group)
-                picks = cands[at]
-                swapped = np.flatnonzero(picks != held)
-                if swapped.size:
-                    k = int(ks[swapped[0]])
-                    medoids[k] = int(picks[swapped[0]])
-                    changed, nearest, first = True, None, k + 1
-                    break
+                    lifts = _swap_margins(dist, margins, nearest, cands, group, ks)
+                    at = _group_argmax(facility + gamma * lifts, group)
+            picks = cands[at]
+            swapped = np.flatnonzero(picks != held)
+            if swapped.size:
+                # the first swap is installed, and the next call starts after it
+                k = int(ks[swapped[0]])
+                medoids[k] = picks[swapped[0]]
+                changed, nearest, first = True, None, k + 1
+            else:
+                first = int(ks[-1]) + 1
         if changed:
             current = label_medoids(dist, medoids, y_star, gamma)
         trace.append(current.objective)

@@ -51,10 +51,6 @@ class MlpParams:
     def input_dim(self) -> int:
         return self.layers[0][0].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][0].shape[0]
-
 
 @dataclass
 class ForwardCache:

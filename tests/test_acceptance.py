@@ -24,12 +24,12 @@ from clusterembed.baselines import lifted_struct_loss, npairs_loss, triplet_semi
 from clusterembed.cluster_loss import clustering_loss
 from clusterembed.data import generate_gaussian, split_by_class
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
-from clusterembed.facility import facility_score, oracle_score
+from clusterembed.facility import oracle_score
 from clusterembed.inference import brute_force_inference, infer, label_medoids
 from clusterembed.metrics import margin, nmi
 from clusterembed.train import TrainConfig, evaluate_model, train
 
-from oracles import central_diff_grad, nmi_oracle
+from oracles import central_diff_grad, facility_oracle, nmi_oracle
 
 
 def random_instance(rng, m, dim, num_classes):
@@ -139,10 +139,15 @@ def test_criterion_04_facility_score_is_monotone_and_submodular():
     ground = list(range(6))
     subsets = [s for r in range(1, 7) for s in itertools.combinations(ground, r)]
     checked_mono = checked_sub = 0
+    # the facility part of A(S) is ``label_medoids``' objective at gamma 0
+    y = np.zeros(6, dtype=np.intp)
     for seed in range(50):
         rng = np.random.default_rng(100 + seed)
         dist = pairwise_distances(EmbeddingBatch(rng.normal(size=(6, 3))))
-        value = {s: facility_score(dist, list(s)) for s in subsets}
+        value = {s: label_medoids(dist, list(s), y, 0.0).objective for s in subsets}
+        for s in subsets:
+            oracle = facility_oracle(dist, s)
+            assert abs(value[s] - oracle) <= 1e-12 * abs(oracle), (s, value[s], oracle)
         for b in subsets:
             b_set = set(b)
             inside = [s for s in subsets if set(s) <= b_set]

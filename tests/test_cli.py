@@ -106,7 +106,7 @@ def test_train_writes_checkpoint_metrics_manifest(tmp_path, data_csv, capsys):
 
     params = load_checkpoint(ckpt)
     assert params.input_dim == 3
-    assert params.output_dim == 4
+    assert params.layers[-1][0].shape[0] == 4
     assert params.final_normalize  # cluster loss trains on normalized rows
 
     records = [

@@ -77,6 +77,18 @@ def test_dataset_rejects_non_finite_features(bad):
         Dataset(features=features, labels=np.array([0, 1]))
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 1.2], [0.0, 1.0, 1.0], [True, False, True]])
+def test_dataset_refuses_float_and_bool_class_ids(labels):
+    """Float and bool ids are refused, not truncated or read as 0 and 1, as
+    every other label entry point refuses them; an empty list, which numpy
+    reads as float, stays a dataset of no examples."""
+    with pytest.raises(InvalidInputError, match="integers"):
+        Dataset(features=np.zeros((3, 1)), labels=labels)
+    ints = Dataset(features=np.zeros((3, 1)), labels=np.array(labels, dtype=int))
+    assert ints.labels.dtype == np.intp
+    assert Dataset(features=np.zeros((0, 1)), labels=[]).num_examples == 0
+
+
 def test_csv_roundtrip_exact(tmp_path):
     ds = generate_gaussian(3, 7, 4, center_scale=3.0, cluster_std=0.5, seed=3)
     path = tmp_path / "data.csv"

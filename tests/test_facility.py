@@ -5,7 +5,7 @@ import pytest
 
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InvalidInputError
-from clusterembed.facility import _group_costs, assign, facility_score, oracle_score
+from clusterembed.facility import _group_costs, assign, oracle_score
 from clusterembed.inference import label_medoids
 
 from oracles import facility_oracle, oracle_score_oracle
@@ -16,40 +16,37 @@ def random_dist(seed, m=10, d=3):
     return pairwise_distances(EmbeddingBatch(rng.normal(size=(m, d))))
 
 
+def facility_total(dist, medoids):
+    """The facility part of A(S): ``label_medoids``' objective at gamma 0."""
+    return label_medoids(dist, medoids, np.zeros(len(dist), dtype=np.intp), 0.0).objective
+
+
 def test_facility_matches_oracle():
     dist = random_dist(0)
     for medoids in [(0,), (3, 7), (1, 4, 9), tuple(range(10))]:
-        assert facility_score(dist, medoids) == pytest.approx(
+        assert facility_total(dist, medoids) == pytest.approx(
             facility_oracle(dist, medoids), rel=1e-12
         )
 
 
 def test_single_medoid_is_negated_column_sum():
     dist = random_dist(1)
-    assert facility_score(dist, [4]) == pytest.approx(-dist[:, 4].sum(), rel=1e-12)
+    assert facility_total(dist, [4]) == pytest.approx(-dist[:, 4].sum(), rel=1e-12)
 
 
 def test_coincident_points_score_zero():
     emb = EmbeddingBatch(np.ones((5, 3)))
     dist = pairwise_distances(emb)
-    assert facility_score(dist, [2]) == 0.0
+    assert facility_total(dist, [2]) == 0.0
 
 
 def test_medoid_validation():
     dist = random_dist(2)
-    with pytest.raises(InvalidInputError):
-        facility_score(dist, [])
-    with pytest.raises(InvalidInputError):
-        facility_score(dist, [1, 1])
-    with pytest.raises(InvalidInputError):
-        facility_score(dist, [10])
-    with pytest.raises(InvalidInputError):
-        facility_score(dist, [-1])
-    # float and bool indices are refused, not truncated or read as 0 and 1
     y = np.arange(10) % 2
-    for medoids in ([0.9, 2.2], [0.0, 2.0], np.array([True, False]), [True, False]):
-        with pytest.raises(InvalidInputError):
-            facility_score(dist, medoids)
+    # float and bool indices are refused, not truncated or read as 0 and 1
+    for medoids in (
+        [], [1, 1], [10], [-1], [0.9, 2.2], [0.0, 2.0], np.array([True, False]), [True, False]
+    ):
         with pytest.raises(InvalidInputError):
             assign(dist, medoids)
         with pytest.raises(InvalidInputError):
@@ -176,7 +173,7 @@ def test_monotone_and_submodular_exhaustively():
         value = {}
         for r in range(1, 7):
             for s in itertools.combinations(universe, r):
-                value[s] = facility_score(dist, s)
+                value[s] = facility_total(dist, s)
         for a in value:
             for b in value:
                 if not set(a) <= set(b):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from clusterembed import inference
 from clusterembed.embedding_ops import EmbeddingBatch, pairwise_distances
 from clusterembed.errors import InstanceTooLargeError, InvalidInputError
-from clusterembed.facility import assign, facility_score, oracle_score
+from clusterembed.facility import assign, oracle_score
 from clusterembed.inference import (
     _facility_rows,
     _others,
@@ -566,7 +566,7 @@ def test_asymmetric_matrix_is_read_as_medoid_rows(kind):
                         swap = label_medoids(dist, swapped, y, gamma).objective
                         assert swap <= refined.objective, (i, gamma, k, j)
         medoids = rng.permutation(len(dist))[: int(rng.integers(1, 5))]
-        assert facility_score(dist, medoids) == pytest.approx(
+        assert label_medoids(dist, medoids, y, 0.0).objective == pytest.approx(
             facility_oracle(dist.T, medoids), rel=1e-12, abs=1e-12
         )
         total, oracle_medoids = oracle_score(dist, y)
@@ -831,6 +831,57 @@ def test_refinement_scores_each_segment_of_a_sweep_in_one_margin_call():
         calls += len(rows)
         sweeps += len(refined.trace)
     assert calls < 32 * sweeps / 5
+
+
+def test_whole_batch_refinement_scores_two_positions_per_call():
+    """In the whole-batch pool at m = 128 with 32 classes of 4, each
+    position has m - 31 candidates, and a call takes whole positions until
+    their rows reach m: two positions, or position 31 alone. A call starts
+    at position 0 of a sweep, just after the position whose swap the last
+    call installed, or else just after the last call's positions. At gamma
+    0 each call makes one ``_group_argmax`` call; the test replays their
+    picks, so it fails if all the positions left in a sweep become one
+    call. Blobs at two separations, so that some refinements install
+    swaps."""
+    group_argmax = inference._group_argmax
+    calls = []
+
+    def recorded(scores, group):
+        at = group_argmax(scores, group)
+        calls.append((group, at))
+        return at
+
+    rows = 128 - 31
+    lone = swaps = 0
+    for seed in range(20):
+        rng = np.random.default_rng(256 + seed)
+        y = rng.permutation(np.arange(128) % 32)
+        emb = (3.0, 1.0)[seed % 2] * rng.normal(size=(32, 16))[y] + rng.normal(size=(128, 16))
+        dist = pairwise_distances(EmbeddingBatch(emb))
+        greedy = greedy_inference(dist, y, 0.0)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_group_argmax", recorded)
+            refined = pam_refine(dist, y, greedy, 0.0, 10, "all")
+        medoids, first, sweeps = list(greedy.medoids), 32, 0
+        for group, at in calls:
+            if first == 32:
+                first, sweeps = 0, sweeps + 1
+            ks = [first] if first == 31 else [first, first + 1]
+            assert np.array_equal(group, np.repeat(np.arange(len(ks)), rows)), (seed, ks)
+            lone += len(ks) == 1
+            first = ks[-1] + 1
+            for g, k in enumerate(ks):
+                # every point but the other positions' medoids, ascending
+                cands = sorted(set(range(128)) - set(medoids) | {medoids[k]})
+                pick = cands[at[g] - g * rows]
+                if pick != medoids[k]:
+                    medoids[k], first = pick, k + 1
+                    swaps += 1
+                    break
+        assert first == 32 and sweeps == len(refined.trace), (seed, first, sweeps)
+        assert tuple(medoids) == refined.medoids, seed
+    assert lone > 0 and swaps > 0, (lone, swaps)
 
 
 MATRIX_KINDS = [

@@ -28,7 +28,7 @@ def test_zero_iterations_returns_initialization():
     params, records = train(config, tiny_dataset())
     assert records == []
     assert params.input_dim == 3
-    assert params.output_dim == 4
+    assert params.layers[-1][0].shape[0] == 4
 
 
 def test_zero_learning_rate_freezes_params_and_metrics():
